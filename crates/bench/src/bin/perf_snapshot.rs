@@ -55,8 +55,8 @@
 //! v8 adds the vertex-cut sharded engine (`engine: "sharded"`, 4 ranks)
 //! and three fields on every batch row: `graph_bytes_peak` (per-rank peak
 //! graph bytes — the shard for `sharded`, 0 for engines that replicate),
-//! `frontier_exchanges`, and `overlap_nanos` (exchange latency hidden
-//! behind sampling; both 0 for non-sharded engines), plus
+//! `frontier_exchanges`, and `overlap_nanos` (summed post-to-wait
+//! windows of the member exchanges; both 0 for non-sharded engines), plus
 //! `exchange_calls` in the `comm` object. The harness *asserts* the
 //! sharded claim before writing: the 4-rank per-rank `graph_bytes_peak`
 //! must be under half the replicated engines\' full-graph footprint on
@@ -66,7 +66,6 @@ use ripples_bench::{measure, Args};
 use ripples_comm::ThreadWorld;
 use ripples_core::{
     dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode},
-    dist_partitioned::imm_partitioned_with_storage,
     dist_sharded::imm_sharded_with_storage,
     mt::imm_multithreaded_with_storage,
     seq::immopt_sequential_with_storage,
@@ -192,13 +191,6 @@ fn run_engine(
                 .pop()
                 .expect("at least one rank")
         }
-        "partitioned" => {
-            let world = ThreadWorld::new(2);
-            world
-                .run(|comm| imm_partitioned_with_storage(comm, graph, params, store))
-                .pop()
-                .expect("at least one rank")
-        }
         // The sharded rows run at 4 ranks so the committed per-rank
         // graph_bytes_peak shows a real (4-way) cut, not a 2-way one.
         "sharded" => {
@@ -297,15 +289,9 @@ fn main() {
             sample: SampleEngine::Reference,
             store: FLAT,
         },
-        Config {
-            graph_name: "ba-hubs",
-            engine: "partitioned",
-            sample: SampleEngine::Reference,
-            store: FLAT,
-        },
         // Vertex-cut sharded rows at 4 ranks, on the same graphs as a
-        // replicated (mt) row and the interval-partitioned row, so the
-        // trajectory carries the memory-vs-overlap trade directly.
+        // replicated (mt) row, so the trajectory carries the
+        // memory-vs-overlap trade directly.
         Config {
             graph_name: "ba-hubs",
             engine: "sharded",

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! ripples --input graph.txt [--undirected] [--weights uniform|wc|const:P|tri]
-//!         [--engine opt|baseline|mt|dist|partitioned|sharded|community|celf|tim|degdiscount]
+//!         [--engine opt|baseline|mt|dist|sharded|community|celf|tim|degdiscount]
 //!         [--model ic|lt] [--k K] [--epsilon E] [--seed S]
 //!         [--threads T | --ranks R] [--simulate TRIALS]
 //!         [--select auto|sequential|partitioned|lazy|hypergraph|fused]
@@ -34,8 +34,7 @@
 //! EXPERIMENTS.md § "Choosing a sampling engine".
 //!
 //! `--rrr-store` picks the RRR storage backend for the `opt`, `mt`, `dist`,
-//! `partitioned`, `sharded`, and `tim` engines (default `flat`). `varint`
-//! gap-encodes
+//! `sharded`, and `tim` engines (default `flat`). `varint` gap-encodes
 //! each sorted set with LEB128 varints, `bitpack` stores ids at
 //! `⌈log₂ n⌉` bits, and `spill` seals varint blocks and writes them to a
 //! temporary file once resident bytes exceed `--rrr-budget` (default 1 GiB),
@@ -69,8 +68,7 @@
 //! EXPERIMENTS.md § "Live-monitoring a run".
 //!
 //! `--chaos-seed S` injects a deterministic fault schedule (dropped, delayed
-//! and truncated collectives) into the `dist`/`partitioned`/`sharded`
-//! engines'
+//! and truncated collectives) into the `dist`/`sharded` engines'
 //! communicator; `--chaos-rate R` sets the per-op fault probability (default
 //! 0.02). The run completes through the retry/degradation layer and prints a
 //! robustness summary (retries, dropped ops, degraded ranks); the same seed
@@ -84,7 +82,6 @@ use ripples_core::{
     celf::celf_greedy,
     community::community_imm,
     dist::{imm_distributed, imm_distributed_with_storage, DistRngMode, DistSelectMode},
-    dist_partitioned::{imm_partitioned, imm_partitioned_with_storage},
     dist_sharded::{imm_sharded, imm_sharded_with_storage},
     heuristics::degree_discount_ic,
     mt::imm_multithreaded_with_storage,
@@ -259,8 +256,29 @@ fn progress_observer() -> ripples_metrics::ProgressFn {
     })
 }
 
+/// Every `--engine` name `main` dispatches on.
+const ENGINES: [&str; 9] = [
+    "opt",
+    "baseline",
+    "mt",
+    "dist",
+    "sharded",
+    "community",
+    "celf",
+    "tim",
+    "degdiscount",
+];
+
 fn main() {
     let args = Args::from_env();
+    let engine = args.get("engine").unwrap_or("mt").to_string();
+    if !ENGINES.contains(&engine.as_str()) {
+        eprintln!(
+            "error: unknown --engine `{engine}` (try {})",
+            ENGINES.join("|")
+        );
+        std::process::exit(1);
+    }
     let model = DiffusionModel::from_tag(args.get("model").unwrap_or("ic"))
         .expect("--model must be ic or lt");
     let graph = load_graph(&args, model);
@@ -274,7 +292,6 @@ fn main() {
     let epsilon: f64 = args.parse_or("epsilon", 0.5);
     let seed: u64 = args.parse_or("seed", 0);
     let params = ImmParams::new(k, epsilon, model, seed);
-    let engine = args.get("engine").unwrap_or("mt").to_string();
     let select = args.get("select").map(|tag| {
         SelectEngine::from_tag(tag).unwrap_or_else(|| {
             eprintln!(
@@ -318,13 +335,10 @@ fn main() {
         StorageConfig { kind, budget }
     };
     if storage.kind != RrrStoreKind::Flat
-        && !matches!(
-            engine.as_str(),
-            "opt" | "mt" | "dist" | "partitioned" | "sharded" | "tim"
-        )
+        && !matches!(engine.as_str(), "opt" | "mt" | "dist" | "sharded" | "tim")
     {
         eprintln!(
-            "warning: --rrr-store only affects the opt/mt/dist/partitioned/sharded/tim engines; ignoring"
+            "warning: --rrr-store only affects the opt/mt/dist/sharded/tim engines; ignoring"
         );
     }
 
@@ -333,10 +347,8 @@ fn main() {
         let rate: f64 = args.parse_or("chaos-rate", 0.02);
         FaultPlan::chaos(chaos_seed, rate)
     });
-    if chaos.is_some() && !matches!(engine.as_str(), "dist" | "partitioned" | "sharded") {
-        eprintln!(
-            "warning: --chaos-seed only affects the dist/partitioned/sharded engines; ignoring"
-        );
+    if chaos.is_some() && !matches!(engine.as_str(), "dist" | "sharded") {
+        eprintln!("warning: --chaos-seed only affects the dist/sharded engines; ignoring");
     }
 
     let trace_path = args.get("trace").map(str::to_string);
@@ -451,28 +463,6 @@ fn main() {
                 None,
             )
         }
-        "partitioned" => {
-            let ranks: u32 = args.parse_or("ranks", 2);
-            let world = ThreadWorld::new(ranks);
-            let mut results = match &chaos {
-                Some(plan) => world.run(|comm| {
-                    let faulty = FaultComm::new(comm, plan.clone());
-                    imm_partitioned_with_storage(&faulty, &graph, &params, storage)
-                }),
-                None if storage.kind == RrrStoreKind::Flat => {
-                    world.run(|comm| imm_partitioned(comm, &graph, &params))
-                }
-                None => {
-                    world.run(|comm| imm_partitioned_with_storage(comm, &graph, &params, storage))
-                }
-            };
-            let r = results.pop().expect("at least one rank");
-            let detail = format!(
-                "ranks={ranks} theta={} per-rank-graph={}B phases=[{}]",
-                r.theta, r.memory.graph_bytes, r.timers
-            );
-            (r.seeds, detail, Some(r.report))
-        }
         "sharded" => {
             let ranks: u32 = args.parse_or("ranks", 2);
             let world = ThreadWorld::new(ranks);
@@ -517,7 +507,7 @@ fn main() {
             let r = celf_greedy(&graph, model, k, trials, seed);
             (r.seeds, format!("evaluations={}", r.evaluations), None)
         }
-        _ => {
+        "mt" => {
             let threads: usize = args.parse_or("threads", 0);
             let r = imm_multithreaded_with_storage(
                 &graph,
@@ -530,6 +520,7 @@ fn main() {
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
+        other => unreachable!("--engine `{other}` passed validation"),
     };
     let elapsed = start.elapsed();
     if let Some(handle) = sampler {

@@ -15,6 +15,11 @@
 //! * Sample indices are global, so the union of all ranks' samples is
 //!   *identical* to a sequential run's collection, and therefore so is the
 //!   seed set — the cross-implementation equivalence the test suite checks.
+//!
+//! The IMM round loop itself (θ estimation, top-up, selection, counter
+//! finalization) is written once, in `run_imm`, and shared with the
+//! graph-sharded engine ([`crate::dist_sharded`]); the two differ only in
+//! how a rank grows its local sample store.
 
 use crate::memory::MemoryStats;
 use crate::obs::{CommCounters, Histogram, RunReport};
@@ -30,6 +35,7 @@ use ripples_diffusion::{
 };
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::{RankStream, StreamFactory};
+use std::ops::Range;
 
 /// Global sample indices owned by `rank` within `[0, total)`: the strided
 /// (round-robin) partition `{ i : i ≡ rank (mod size) }`.
@@ -427,25 +433,6 @@ fn distributed_store_rounds<C: Communicator, S: RrrStore>(
     (seeds, covered_global, fraction)
 }
 
-/// Crate-internal entry used by the partitioned engine: the paper's dense
-/// All-Reduce selection.
-pub(crate) fn select_seeds_distributed_public<C: Communicator, S: RrrStore>(
-    comm: &C,
-    local: &S,
-    theta_global: usize,
-    n: u32,
-    k: u32,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
-    select_seeds_distributed(
-        comm,
-        local,
-        theta_global,
-        n,
-        k,
-        DistSelectMode::DenseAllReduce,
-    )
-}
-
 /// Merges one rank's local histogram into the identical global histogram on
 /// every rank: the summable state travels in one All-Reduce, the maximum in
 /// one max-reduce. Must be called collectively.
@@ -601,6 +588,82 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
     select_mode: DistSelectMode,
     store: S,
 ) -> ImmResult {
+    let n = graph.num_vertices();
+    let model = params.model;
+    let factory = StreamFactory::new(params.seed);
+    let (rank, size) = (comm.rank(), comm.size());
+    let mut scratch = RrrScratch::new(n);
+    // Persistent per-rank leap-frog stream (used only in LeapFrog mode).
+    let mut rank_stream = RankStream::new(params.seed, rank, size);
+    run_imm(
+        comm,
+        graph,
+        params,
+        "dist",
+        graph.resident_bytes(),
+        select_mode,
+        store,
+        // Append this rank's stride of the newly added global range.
+        |_, range, local, report, sample_work| {
+            let mut batch_samples = 0u64;
+            for index in
+                strided_indices(range.end, rank, size).skip_while(|&i| i < range.start as u64)
+            {
+                let s = match rng_mode {
+                    DistRngMode::IndexedStreams => {
+                        let mut rng = factory.sample_stream(index);
+                        let root = rng.bounded_u64(u64::from(n)) as Vertex;
+                        generate_rrr(graph, model, root, &mut rng, &mut scratch)
+                    }
+                    DistRngMode::LeapFrog => {
+                        let root = rank_stream.bounded_u64(u64::from(n)) as Vertex;
+                        generate_rrr(graph, model, root, &mut rank_stream, &mut scratch)
+                    }
+                };
+                report.counters.edges_examined += s.edges_examined;
+                report.rrr_sizes.record(s.vertices.len() as u64);
+                local.push(&s.vertices);
+                sample_work.push(s.edges_examined);
+                batch_samples += 1;
+            }
+            report.counters.samples_generated += batch_samples;
+            // One "worker" per rank: the batch lands wholly on this rank.
+            report.thread_samples.record(batch_samples);
+        },
+        |_, _| {},
+    )
+}
+
+/// The IMM driver shared by the distributed engines ([`imm_distributed`]
+/// and [`crate::dist_sharded::imm_sharded`]): everything but how a rank
+/// grows its local sample store.
+///
+/// It owns the retry shield, the θ-estimation rounds and the final
+/// top-up, distributed seed selection, memory observation, and the
+/// collective finalization of counters, health, comm delta and trace.
+///
+/// * `graph_bytes` is this rank's resident graph footprint.
+/// * `grow(comm, range, local, report, sample_work)` appends this rank's
+///   share of the global sample indices `range` to `local`. It records
+///   *local* counters in `report`, which are globalized once at the end,
+///   and its sampling work in `sample_work`.
+/// * `publish(comm, report)` adds the engine's own collective counters. It
+///   runs on every rank after health globalization and before the comm
+///   delta is taken.
+///
+/// Must be called collectively by every rank of `comm`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_imm<'c, C: Communicator, S: RrrStore>(
+    comm: &'c C,
+    graph: &Graph,
+    params: &ImmParams,
+    engine: &str,
+    graph_bytes: usize,
+    select_mode: DistSelectMode,
+    store: S,
+    mut grow: impl FnMut(&RetryComm<&'c C>, Range<usize>, &mut S, &mut RunReport, &mut Vec<u64>),
+    publish: impl FnOnce(&RetryComm<&'c C>, &mut RunReport),
+) -> ImmResult {
     // All collectives below run through the retry/rank-death layer: on a
     // reliable backend every attempt succeeds first try and the wrapper is
     // free; on a fault-injecting stack transient faults are retried in
@@ -620,126 +683,73 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
         params.epsilon,
         params.ell,
     );
-    let factory = StreamFactory::new(params.seed);
-    let model: DiffusionModel = params.model;
-    // This engine samples through `generate_rrr` directly, bypassing the
-    // batch samplers' entry validation — re-assert the LT normalization
-    // contract here so un-normalized input fails fast in every profile.
-    if model == DiffusionModel::LinearThreshold {
+    // The engines sample below the batch samplers' entry validation —
+    // re-assert the LT normalization contract on the full graph (every rank
+    // holds it) so un-normalized input fails fast in every profile.
+    if params.model == DiffusionModel::LinearThreshold {
         ripples_diffusion::ensure_lt_normalized(graph);
     }
-    let rank = comm.rank();
-    let size = comm.size();
     // Tag this rank thread's event ring so the merged trace shows one
     // process track per rank.
-    crate::obs::trace::set_thread_rank(rank);
+    crate::obs::trace::set_thread_rank(comm.rank());
+    if crate::obs::metrics::enabled() {
+        crate::obs::metrics::set(crate::obs::metrics::Metric::GraphBytes, graph_bytes as u64);
+    }
 
-    let mut report = RunReport::new("dist");
+    let mut report = RunReport::new(engine);
     let comm_before = comm.stats();
     let mut memory = MemoryStats {
         counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
-        graph_bytes: graph.resident_bytes(),
+        graph_bytes,
         ..MemoryStats::default()
     };
     let mut local = store;
-    let mut scratch = RrrScratch::new(n);
     let mut sample_work: Vec<u64> = Vec::new();
     let mut theta_global: usize = 0;
     let mut select_stats = SelectStats::default();
-    // Persistent per-rank leap-frog stream (used only in LeapFrog mode).
-    let mut rank_stream = RankStream::new(params.seed, rank, size);
-
-    // Append this rank's stride of the newly added global range
-    // [current_total, new_total). Counters record *local* work here; they
-    // are globalized once at the end of the run.
-    let mut grow_to = |new_total: usize,
-                       local: &mut S,
-                       scratch: &mut RrrScratch,
-                       sample_work: &mut Vec<u64>,
-                       report: &mut RunReport,
-                       current_total: usize| {
-        debug_assert!(new_total >= current_total);
-        let mut batch_samples = 0u64;
-        for index in
-            strided_indices(new_total, rank, size).skip_while(|&i| i < current_total as u64)
-        {
-            let s = match rng_mode {
-                DistRngMode::IndexedStreams => {
-                    let mut rng = factory.sample_stream(index);
-                    let root = rng.bounded_u64(u64::from(n)) as Vertex;
-                    generate_rrr(graph, model, root, &mut rng, scratch)
-                }
-                DistRngMode::LeapFrog => {
-                    let root = rank_stream.bounded_u64(u64::from(n)) as Vertex;
-                    generate_rrr(graph, model, root, &mut rank_stream, scratch)
-                }
-            };
-            report.counters.edges_examined += s.edges_examined;
-            report.rrr_sizes.record(s.vertices.len() as u64);
-            local.push(&s.vertices);
-            sample_work.push(s.edges_examined);
-            batch_samples += 1;
-        }
-        report.counters.samples_generated += batch_samples;
-        // One "worker" per rank: the batch lands wholly on this rank.
-        report.thread_samples.record(batch_samples);
-    };
 
     // --- EstimateTheta -----------------------------------------------------
     let mut lb: Option<f64> = None;
-    {
-        let local_ref = &mut local;
-        let scratch_ref = &mut scratch;
-        let work_ref = &mut sample_work;
-        let theta_ref = &mut theta_global;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        let select_stats = &mut select_stats;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > *theta_ref {
-                        report.span("sample", |report| {
-                            grow_to(budget, local_ref, scratch_ref, work_ref, report, *theta_ref);
-                        });
-                        *theta_ref = budget;
-                    }
-                    memory.observe_rrr(local_ref.resident_bytes());
-                    let (sel_seeds, _, fraction, sstats) = report.span("select", |_| {
-                        select_seeds_distributed(
-                            comm,
-                            local_ref,
-                            *theta_ref,
-                            n,
-                            sizing_k,
-                            select_mode,
-                        )
-                    });
-                    select_stats.absorb(sstats);
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel_seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(fraction);
-                    if schedule.round_succeeds(x, fraction) {
-                        *lb = Some(schedule.lower_bound(fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
+    report.span("EstimateTheta", |report| {
+        for x in 1..=schedule.max_rounds() {
+            let budget = schedule.round_budget(x);
+            if crate::obs::metrics::enabled() {
+                crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, budget as u64);
             }
-        });
-    }
+            let stop = report.span(&format!("round-{x}"), |report| {
+                if budget > theta_global {
+                    report.span("sample", |report| {
+                        grow(
+                            comm,
+                            theta_global..budget,
+                            &mut local,
+                            report,
+                            &mut sample_work,
+                        );
+                    });
+                    theta_global = budget;
+                }
+                memory.observe_rrr(local.resident_bytes());
+                let (sel_seeds, _, fraction, sstats) = report.span("select", |_| {
+                    select_seeds_distributed(comm, &local, theta_global, n, sizing_k, select_mode)
+                });
+                select_stats.absorb(sstats);
+                report.counters.theta_rounds += 1;
+                report.counters.select_iterations += sel_seeds.len() as u64;
+                report.counters.round_budgets.push(budget as u64);
+                report.counters.round_coverage.push(fraction);
+                if schedule.round_succeeds(x, fraction) {
+                    lb = Some(schedule.lower_bound(fraction));
+                    true
+                } else {
+                    false
+                }
+            });
+            if stop {
+                break;
+            }
+        }
+    });
     let theta = match lb {
         Some(bound) => schedule.final_theta(bound),
         None => schedule.fallback_theta(u64::from(sizing_k)),
@@ -750,12 +760,14 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
 
     // --- Sample top-up -------------------------------------------------
     if theta > theta_global {
-        let local_ref = &mut local;
-        let scratch_ref = &mut scratch;
-        let work_ref = &mut sample_work;
-        let current = theta_global;
         report.span("Sample", |report| {
-            grow_to(theta, local_ref, scratch_ref, work_ref, report, current);
+            grow(
+                comm,
+                theta_global..theta,
+                &mut local,
+                report,
+                &mut sample_work,
+            );
         });
         theta_global = theta;
     }
@@ -780,6 +792,7 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
     report.counters.spill_bytes_written = local.spill_bytes_written();
     globalize_counters(comm, &mut report);
     globalize_health(comm, &mut report);
+    publish(comm, &mut report);
     report.comm = Some(CommCounters::delta(&comm_before, &comm.stats()));
     if crate::obs::trace::enabled() {
         // Collective: every rank contributes its timeline and every rank

@@ -1,10 +1,9 @@
 //! Distributed IMM over a **vertex-cut sharded graph** with batched
 //! asynchronous frontier exchange.
 //!
-//! [`crate::dist_partitioned`] already stops replicating the graph, but its
-//! interval partition keys ownership by *vertex*, so a single hub vertex
-//! pins its whole in-list to one rank and every BFS round moves the entire
-//! frontier through one `AllGather`. This engine shards by *edge* instead
+//! This is the one engine that partitions the input graph as well as the
+//! samples (the paper's future-work item (i)). It shards by *edge*, not by
+//! vertex, so a hub vertex does not pin its whole in-list to one rank
 //! ([`ripples_graph::partition::VertexCutShard`]): the global in-edge order
 //! is split into `p` equal contiguous ranges, a vertex whose in-list
 //! straddles a boundary is mirrored on the (contiguous) interval of ranks
@@ -22,22 +21,25 @@
 //!    member records are posted as a nonblocking exchange
 //!    ([`Communicator::post_exchange_u64`]) routed to the sample's home
 //!    rank, and the engine samples the **next** block while the previous
-//!    block's records are in flight, draining them one block later. The
-//!    hidden latency is surfaced as `overlap_nanos`.
+//!    block's records are in flight, draining them one block later.
+//!    `overlap_nanos` sums each block's post-to-wait window: the time the
+//!    exchange *could* overlap with sampling, an upper bound on the latency
+//!    actually hidden.
 //!
 //! Coin flips are keyed by `(sample, vertex)` and chunk expansion replays
 //! the exact per-edge draw sequence of the sequential reference
 //! ([`ripples_diffusion::partitioned::expand_shard_chunk`]), so the
 //! generated collection — and therefore the seed set — is **bitwise
-//! identical** to [`crate::dist_partitioned::imm_partitioned`] and the
-//! sequential vertex-keyed reference at every rank count (tested below).
+//! identical** to the sequential vertex-keyed reference at every rank count
+//! (tested below).
+//!
+//! Only sampling lives here: the θ rounds, seed selection and counter
+//! finalization are the driver shared with [`crate::dist`].
 
-use crate::memory::MemoryStats;
-use crate::obs::{CommCounters, RunReport};
+use crate::dist::{run_imm, DistSelectMode};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::theta::ThetaSchedule;
-use ripples_comm::{Communicator, RetryComm};
+use ripples_comm::Communicator;
 use ripples_diffusion::partitioned::{expand_shard_chunk, sample_root, sample_stream_seed};
 use ripples_diffusion::{
     DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, StorageConfig,
@@ -45,6 +47,7 @@ use ripples_diffusion::{
 use ripples_graph::partition::VertexCutShard;
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -60,8 +63,9 @@ pub struct ExchangeStats {
     /// member routings). Identical on every rank — the collective sequence
     /// is lockstep.
     pub frontier_exchanges: u64,
-    /// Nanoseconds between posting a block's member exchange and waiting on
-    /// it — latency hidden behind the next block's local sampling.
+    /// Nanoseconds between posting each block's member exchange and waiting
+    /// on it, summed: the window the next block's sampling could overlap,
+    /// not a measure of latency actually hidden.
     pub overlap_nanos: u64,
 }
 
@@ -228,8 +232,8 @@ fn drain_block<C: Communicator, S: RrrStore>(
 /// Generates samples `first .. first+count` over the sharded graph,
 /// pipelining each block's member routing behind the next block's
 /// sampling. This rank's *home* samples (`index % size == rank`) land in
-/// `out` in index order — the exact layout the replicated and partitioned
-/// engines produce — and the local edge work is returned.
+/// `out` in index order — the exact layout the replicated engine
+/// produces — and the local edge work is returned.
 #[allow(clippy::too_many_arguments)]
 pub fn sample_batch_sharded<C: Communicator, S: RrrStore>(
     comm: &C,
@@ -324,210 +328,66 @@ fn imm_sharded_impl<C: Communicator, S: RrrStore>(
     params: &ImmParams,
     store: S,
 ) -> ImmResult {
-    // Same retry/rank-death shield as the other distributed engines; free
-    // on a reliable backend.
-    let comm = &RetryComm::with_defaults(comm);
-    let n = graph.num_vertices();
-    if n < 2 {
-        comm.barrier();
-        return crate::seq::immopt_sequential(graph, params);
-    }
-    let k = params.effective_k(n);
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
-    let factory = StreamFactory::new(params.seed);
-    let model = params.model;
-    // Chunk expansion bypasses the batch samplers' entry validation —
-    // re-assert the LT normalization contract on the full graph (every rank
-    // holds it here) so un-normalized input fails fast in every profile.
-    if model == DiffusionModel::LinearThreshold {
-        ripples_diffusion::ensure_lt_normalized(graph);
-    }
     let shard = VertexCutShard::extract(graph, comm.rank(), comm.size());
-    crate::obs::trace::set_thread_rank(comm.rank());
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(
-            crate::obs::metrics::Metric::GraphBytes,
-            shard.resident_bytes() as u64,
-        );
-    }
-
-    let mut report = RunReport::new("sharded");
-    let comm_before = comm.stats();
-    let mut memory = MemoryStats {
-        counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
+    let factory = StreamFactory::new(params.seed);
+    // Shared by the sampling closure (which tallies) and the publishing
+    // one (which reduces the tallies at the end of the run).
+    let exchange = Cell::new(ExchangeStats::default());
+    run_imm(
+        comm,
+        graph,
+        params,
+        "sharded",
         // The honest headline: per-rank graph bytes are the shard's.
-        graph_bytes: shard.resident_bytes(),
-        ..MemoryStats::default()
-    };
-    let mut local = store;
-    let mut exchange_stats = ExchangeStats::default();
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut theta_global: usize = 0;
-    let mut select_stats = crate::select::SelectStats::default();
-
-    // Records local counters for one batch: the home samples this rank kept
-    // plus the expansion work it performed. Globalized once at the end.
-    let record_batch = |report: &mut RunReport, local: &S, old_len: usize, local_work: u64| {
-        let new_samples = (local.len() - old_len) as u64;
-        report.counters.samples_generated += new_samples;
-        report.counters.edges_examined += local_work;
-        for slot in old_len..local.len() {
-            report.rrr_sizes.record(local.sample_len(slot) as u64);
-        }
-        report.thread_samples.record(new_samples);
-    };
-
-    let mut lb: Option<f64> = None;
-    {
-        let local_ref = &mut local;
-        let work_ref = &mut sample_work;
-        let theta_ref = &mut theta_global;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        let select_stats = &mut select_stats;
-        let exchange_stats = &mut exchange_stats;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > *theta_ref {
-                        let old_len = local_ref.len();
-                        let work = report.span("sample", |_| {
-                            sample_batch_sharded(
-                                comm,
-                                &shard,
-                                model,
-                                &factory,
-                                *theta_ref as u64,
-                                budget - *theta_ref,
-                                local_ref,
-                                exchange_stats,
-                            )
-                        });
-                        work_ref.push(work);
-                        record_batch(report, local_ref, old_len, work);
-                        *theta_ref = budget;
-                    }
-                    memory.observe_rrr(local_ref.resident_bytes());
-                    let (sel_seeds, _, fraction, sstats) = report.span("select", |_| {
-                        crate::dist::select_seeds_distributed_public(
-                            comm, local_ref, *theta_ref, n, sizing_k,
-                        )
-                    });
-                    select_stats.absorb(sstats);
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel_seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(fraction);
-                    if schedule.round_succeeds(x, fraction) {
-                        *lb = Some(schedule.lower_bound(fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
-            }
-        });
-    }
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-    if theta > theta_global {
-        let local_ref = &mut local;
-        let work_ref = &mut sample_work;
-        let exchange_stats = &mut exchange_stats;
-        let current = theta_global;
-        report.span("Sample", |report| {
-            let old_len = local_ref.len();
+        shard.resident_bytes(),
+        DistSelectMode::DenseAllReduce,
+        store,
+        |comm, range, local, report, sample_work| {
+            let old_len = local.len();
+            let mut stats = exchange.get();
             let work = sample_batch_sharded(
                 comm,
                 &shard,
-                model,
+                params.model,
                 &factory,
-                current as u64,
-                theta - current,
-                local_ref,
-                exchange_stats,
+                range.start as u64,
+                range.len(),
+                local,
+                &mut stats,
             );
-            work_ref.push(work);
-            record_batch(report, local_ref, old_len, work);
-        });
-        theta_global = theta;
-    }
-    memory.observe_rrr(local.resident_bytes());
-
-    let (seeds, _, fraction, final_stats) = report.span("SelectSeeds", |_| {
-        crate::dist::select_seeds_distributed_public(comm, &local, theta_global, n, k)
-    });
-    select_stats.absorb(final_stats);
-    report.counters.select_iterations += seeds.len() as u64;
-
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = local.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = theta_global as u64;
-    report.counters.unsorted_pushes = local.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos = select_stats.decode_nanos;
-    report.counters.spill_bytes_written = local.spill_bytes_written();
-    crate::dist::globalize_counters(comm, &mut report);
-    crate::dist::globalize_health(comm, &mut report);
-    // Sharding headline counters: max-reduce both agrees across ranks
-    // (the exchange sequence is lockstep) and neutralizes zombie ranks.
-    report.counters.graph_bytes_peak = comm
-        .all_reduce_max_f64(shard.resident_bytes() as f64)
-        .max(0.0) as u64;
-    report.counters.frontier_exchanges = comm
-        .all_reduce_max_f64(exchange_stats.frontier_exchanges as f64)
-        .max(0.0) as u64;
-    report.counters.overlap_nanos = comm
-        .all_reduce_max_f64(exchange_stats.overlap_nanos as f64)
-        .max(0.0) as u64;
-    report.comm = Some(CommCounters::delta(&comm_before, &comm.stats()));
-    if crate::obs::trace::enabled() {
-        report.trace = Some(crate::obs::trace::gather_trace(comm));
-    }
-
-    ImmResult {
-        seeds,
-        theta: theta_global,
-        coverage_fraction: fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    }
+            exchange.set(stats);
+            sample_work.push(work);
+            // The home samples this rank kept plus the expansion work it
+            // performed; the driver globalizes both once at the end.
+            let new_samples = (local.len() - old_len) as u64;
+            report.counters.samples_generated += new_samples;
+            report.counters.edges_examined += work;
+            for slot in old_len..local.len() {
+                report.rrr_sizes.record(local.sample_len(slot) as u64);
+            }
+            report.thread_samples.record(new_samples);
+        },
+        |comm, report| {
+            // Max-reduce both agrees across ranks (the exchange sequence is
+            // lockstep) and neutralizes zombie ranks.
+            let stats = exchange.get();
+            report.counters.graph_bytes_peak = comm
+                .all_reduce_max_f64(shard.resident_bytes() as f64)
+                .max(0.0) as u64;
+            report.counters.frontier_exchanges = comm
+                .all_reduce_max_f64(stats.frontier_exchanges as f64)
+                .max(0.0) as u64;
+            report.counters.overlap_nanos =
+                comm.all_reduce_max_f64(stats.overlap_nanos as f64).max(0.0) as u64;
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist_partitioned::imm_partitioned;
     use ripples_comm::{SelfComm, ThreadWorld};
     use ripples_diffusion::partitioned::vertex_keyed_rrr;
-    use ripples_diffusion::rrr::RrrScratch;
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -544,9 +404,8 @@ mod tests {
             DiffusionModel::IndependentCascade,
             DiffusionModel::LinearThreshold,
         ] {
-            let mut scratch = RrrScratch::new(g.num_vertices());
             let reference: Vec<Vec<Vertex>> = (0..count as u64)
-                .map(|i| vertex_keyed_rrr(&g, model, &factory, i, &mut scratch))
+                .map(|i| vertex_keyed_rrr(&g, model, &factory, i))
                 .collect();
             for size in [1u32, 2, 3, 4] {
                 let world = ThreadWorld::new(size);
@@ -584,9 +443,8 @@ mod tests {
         let factory = StreamFactory::new(11);
         let count = BLOCK_SAMPLES * 2 + 17;
         let model = DiffusionModel::IndependentCascade;
-        let mut scratch = RrrScratch::new(g.num_vertices());
         let reference: Vec<Vec<Vertex>> = (0..count as u64)
-            .map(|i| vertex_keyed_rrr(&g, model, &factory, i, &mut scratch))
+            .map(|i| vertex_keyed_rrr(&g, model, &factory, i))
             .collect();
         let world = ThreadWorld::new(2);
         let per_rank = world.run(|comm| {
@@ -610,8 +468,9 @@ mod tests {
 
     #[test]
     fn sharded_imm_matches_partitioned_bitwise() {
-        // The two graph-distributed engines flip identical (sample, vertex)
-        // coins, so seeds and θ agree exactly at every rank count.
+        // Every rank count flips identical (sample, vertex) coins, so seeds
+        // and θ of the graph-partitioned runs at 2 and 3 ranks match the
+        // 1-rank run, whose single shard is the whole graph, exactly.
         for model in [
             DiffusionModel::IndependentCascade,
             DiffusionModel::LinearThreshold,
@@ -619,10 +478,8 @@ mod tests {
             let lt = model == DiffusionModel::LinearThreshold;
             let g = erdos_renyi(200, 1600, WeightModel::UniformRandom { seed: 7 }, lt, 61);
             let p = ImmParams::new(5, 0.5, model, 23);
-            let anchor = imm_partitioned(&SelfComm::new(), &g, &p);
-            let single = imm_sharded(&SelfComm::new(), &g, &p);
-            assert_eq!(single.seeds, anchor.seeds, "{model} single rank");
-            assert_eq!(single.theta, anchor.theta, "{model} single rank");
+            let anchor = imm_sharded(&SelfComm::new(), &g, &p);
+            assert_eq!(anchor.seeds.len(), 5, "{model} single rank");
             for size in [2u32, 3] {
                 let world = ThreadWorld::new(size);
                 let results = world.run(|comm| imm_sharded(comm, &g, &p));
@@ -639,11 +496,16 @@ mod tests {
         let g = graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 23);
         let flat = imm_sharded(&SelfComm::new(), &g, &p);
-        for kind in [RrrStoreKind::Varint, RrrStoreKind::Spill] {
+        for kind in [
+            RrrStoreKind::Varint,
+            RrrStoreKind::Bitpack,
+            RrrStoreKind::Spill,
+        ] {
             let budget = (kind == RrrStoreKind::Spill).then_some(4096);
             let storage = StorageConfig { kind, budget };
             let single = imm_sharded_with_storage(&SelfComm::new(), &g, &p, storage);
             assert_eq!(single.seeds, flat.seeds, "{kind:?} single rank");
+            assert_eq!(single.theta, flat.theta, "{kind:?} single rank");
             let world = ThreadWorld::new(2);
             let results = world.run(|comm| imm_sharded_with_storage(comm, &g, &p, storage));
             for r in &results {
@@ -651,6 +513,25 @@ mod tests {
                 assert_eq!(r.theta, flat.theta, "{kind:?} world 2");
             }
         }
+    }
+
+    #[test]
+    fn quality_parity_with_replicated_engine() {
+        use ripples_diffusion::estimate_spread;
+        let g = graph();
+        let model = DiffusionModel::IndependentCascade;
+        let p = ImmParams::new(5, 0.5, model, 9);
+        let world = ThreadWorld::new(2);
+        let sharded = world.run(|comm| imm_sharded(comm, &g, &p)).pop().unwrap();
+        let repl = crate::seq::immopt_sequential(&g, &p);
+        let factory = StreamFactory::new(31337);
+        let s_sharded = estimate_spread(&g, model, &sharded.seeds, 800, &factory);
+        let s_repl = estimate_spread(&g, model, &repl.seeds, 800, &factory);
+        let ratio = s_sharded / s_repl.max(1.0);
+        assert!(
+            (0.9..=1.1).contains(&ratio),
+            "sharded quality diverged: {s_sharded} vs {s_repl}"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! ([`celf`]), degree-discount and other heuristics ([`heuristics`]), and
 //! the community-based heuristic of reference \[14\] ([`community`]) — the
 //! paper's future-work extension of running IMM over a *partitioned* input
-//! graph ([`dist_partitioned`]) and its vertex-cut sharded successor with
-//! batched asynchronous frontier exchange ([`dist_sharded`]),
+//! graph, as a vertex-cut sharded engine with batched asynchronous frontier
+//! exchange ([`dist_sharded`]) that shares its IMM driver with [`dist`],
 //! instrumentation matching the paper's phase
 //! breakdown ([`phases`]), RRR-storage memory accounting ([`memory`]), and
 //! the strong-scaling replay model ([`scaling`]) that substitutes for the
@@ -46,7 +46,6 @@ pub mod api;
 pub mod celf;
 pub mod community;
 pub mod dist;
-pub mod dist_partitioned;
 pub mod dist_sharded;
 pub mod heuristics;
 pub mod memory;

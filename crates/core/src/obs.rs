@@ -110,9 +110,10 @@ pub struct Counters {
     /// Batched frontier exchanges (`alltoallv`) issued by the sharded
     /// engine; 0 for replicated engines.
     pub frontier_exchanges: u64,
-    /// Nanoseconds of frontier-exchange latency hidden behind local
-    /// sampling (post-to-wait gaps, summed; max over ranks). 0 for
-    /// replicated engines.
+    /// Nanoseconds between posting each member exchange and waiting on
+    /// it (post-to-wait windows, summed; max over ranks): an upper bound
+    /// on the latency overlapped with sampling, not the latency hidden.
+    /// 0 for replicated engines.
     pub overlap_nanos: u64,
 }
 

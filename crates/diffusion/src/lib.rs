@@ -36,7 +36,6 @@ pub use forward::{estimate_spread, simulate_cascade, spread_samples, CascadeOutc
 pub use fused::{sample_batch_fused, FUSED_LANES};
 pub use hypergraph::{HyperGraph, SampleIndex};
 pub use model::DiffusionModel;
-pub use partitioned::GraphPartition;
 pub use rrr::{generate_rrr, generate_rrr_into, RrrCollection, RrrScratch, SampleArena};
 pub use sampler::{
     ensure_lt_normalized, sample_batch, sample_batch_sequential, sample_root_of, BatchOutcome,

@@ -1,10 +1,10 @@
 //! Deterministic edge-balanced vertex-cut partitioning with ghost-vertex
 //! (mirror) tables.
 //!
-//! The sample-partitioned distributed engine still replicates the whole
-//! graph on every rank; this module is the substrate for the *graph*-sharded
-//! engine (`imm_sharded` in `ripples-core`), where each rank holds only
-//! `~m/p` in-edges. The cut is over **edges**, not vertices: the reverse CSR
+//! The replicated distributed engine (`imm_distributed` in `ripples-core`)
+//! holds the whole graph on every rank; this module is the substrate for
+//! the one *graph*-partitioned engine (`imm_sharded`), where each rank
+//! holds only `~m/p` in-edges. The cut is over **edges**, not vertices: the reverse CSR
 //! is flattened into one global edge order (grouped by destination, sources
 //! sorted within a group — the same order [`Graph`] stores) and split into
 //! `p` contiguous, equal-size ranges. A vertex whose in-edges straddle a

@@ -47,7 +47,8 @@
 //! format does not carry, and report [`SnapshotError::UnsupportedStore`].
 
 use std::fs;
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use ripples_core::{ImmParams, SampleEngine};
 use ripples_diffusion::{
@@ -227,17 +228,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializes `service`'s sealed sketch to `path`.
+/// Serializes `service`'s sealed sketch to `path`, atomically: the bytes
+/// go to a sibling temp file that is synced to disk and then renamed over
+/// `path`, so a failed or interrupted write never leaves a torn snapshot.
+/// The parent directory is synced last so the rename itself survives a
+/// crash.
 ///
 /// # Errors
 ///
 /// [`SnapshotError::UnsupportedStore`] for bitpack/spill layouts,
-/// [`SnapshotError::Io`] on filesystem failure.
+/// [`SnapshotError::Io`] on filesystem failure, after which the temp file
+/// is removed.
 pub fn write_snapshot(path: &Path, service: &SketchService) -> Result<(), SnapshotError> {
     let bytes = encode_snapshot(service)?;
-    fs::write(path, bytes).map_err(|e| SnapshotError::Io {
-        action: "writing the snapshot file",
-        detail: e.to_string(),
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let written = fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(&bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, path))
+        .and_then(|()| {
+            let dir = match path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            fs::File::open(dir)?.sync_all()
+        });
+    written.map_err(|e| {
+        let _ = fs::remove_file(&tmp);
+        SnapshotError::Io {
+            action: "writing the snapshot file",
+            detail: e.to_string(),
+        }
     })
 }
 

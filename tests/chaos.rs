@@ -21,7 +21,6 @@
 
 use ripples_comm::{FaultComm, FaultPlan, ThreadWorld};
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::ImmParams;
 use ripples_diffusion::{estimate_spread, DiffusionModel};
@@ -57,13 +56,13 @@ fn run_engine(
             match engine {
                 "dist" => imm_distributed(&faulty, &g, &p),
                 "sharded" => imm_sharded(&faulty, &g, &p),
-                _ => imm_partitioned(&faulty, &g, &p),
+                other => panic!("unknown engine `{other}`"),
             }
         }
         None => match engine {
             "dist" => imm_distributed(comm, &g, &p),
             "sharded" => imm_sharded(comm, &g, &p),
-            _ => imm_partitioned(comm, &g, &p),
+            other => panic!("unknown engine `{other}`"),
         },
     });
     let first = results.swap_remove(0);
@@ -81,7 +80,7 @@ fn run_engine(
 #[test]
 fn zero_fault_plan_is_bitwise_transparent() {
     let none = FaultPlan::none();
-    for engine in ["dist", "partitioned", "sharded"] {
+    for engine in ["dist", "sharded"] {
         for size in [1u32, 2, 4] {
             let bare = run_engine(engine, size, None, DiffusionModel::IndependentCascade);
             let wrapped = run_engine(
@@ -146,27 +145,6 @@ fn drop_and_delay_faults_never_change_the_selection() {
 }
 
 #[test]
-fn partitioned_engine_absorbs_transient_faults_too() {
-    let clean = run_engine("partitioned", 3, None, DiffusionModel::IndependentCascade);
-    let plan = FaultPlan::new(303)
-        .with_drop_rate(0.05)
-        .with_delay_rate(0.05);
-    let noisy = run_engine(
-        "partitioned",
-        3,
-        Some(&plan),
-        DiffusionModel::IndependentCascade,
-    );
-    assert_eq!(clean.seeds, noisy.seeds);
-    assert_eq!(noisy.report.counters.degraded_ranks, 0);
-    assert!(noisy.report.counters.retries > 0, "plan must bite");
-    assert_eq!(
-        noisy.report.counters.retries, noisy.report.counters.dropped_ops,
-        "every retry is one attempt the fault layer failed"
-    );
-}
-
-#[test]
 fn rank_kill_degrades_gracefully_and_keeps_quality() {
     let model = DiffusionModel::IndependentCascade;
     let g = graph(model);
@@ -202,19 +180,6 @@ fn rank_kill_degrades_gracefully_and_keeps_quality() {
         degraded_spread >= 0.95 * clean_spread,
         "degraded spread {degraded_spread:.1} < 95% of clean spread {clean_spread:.1}"
     );
-}
-
-#[test]
-fn rank_kill_in_partitioned_engine_completes() {
-    let plan = FaultPlan::new(505).with_stall(1, 6);
-    let degraded = run_engine(
-        "partitioned",
-        2,
-        Some(&plan),
-        DiffusionModel::IndependentCascade,
-    );
-    assert_eq!(degraded.report.counters.degraded_ranks, 1);
-    assert_eq!(degraded.seeds.len(), 5);
 }
 
 #[test]
@@ -267,6 +232,10 @@ fn sharded_engine_absorbs_transient_faults_too() {
     assert_eq!(clean.theta, noisy.theta);
     assert_eq!(noisy.report.counters.degraded_ranks, 0);
     assert!(noisy.report.counters.retries > 0, "plan must bite");
+    assert_eq!(
+        noisy.report.counters.retries, noisy.report.counters.dropped_ops,
+        "every retry is one attempt the fault layer failed"
+    );
 }
 
 #[test]

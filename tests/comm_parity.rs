@@ -9,7 +9,6 @@
 
 use ripples_comm::{SelfComm, ThreadWorld};
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
 use ripples_core::ImmParams;
 use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::erdos_renyi;
@@ -52,31 +51,6 @@ fn selfcomm_and_single_rank_threadworld_report_identical_stats() {
         "at world size 1 both backends must charge the same bytes"
     );
     assert_eq!(self_comm.bytes_moved, 0, "no bytes move inside one rank");
-}
-
-#[test]
-fn partitioned_engine_parity_at_size_one() {
-    let g = graph();
-    let p = params();
-
-    let self_run = imm_partitioned(&SelfComm::new(), &g, &p);
-    let self_comm = self_run.report.comm.expect("partitioned run reports comm");
-
-    let world = ThreadWorld::new(1);
-    let mut results = world.run(|comm| imm_partitioned(comm, &g, &p));
-    let thread_run = results.pop().expect("one rank");
-    let thread_comm = thread_run
-        .report
-        .comm
-        .expect("partitioned run reports comm");
-
-    assert_eq!(self_run.seeds, thread_run.seeds);
-    assert_eq!(self_comm.allreduce_calls, thread_comm.allreduce_calls);
-    assert_eq!(self_comm.barrier_calls, thread_comm.barrier_calls);
-    assert_eq!(self_comm.broadcast_calls, thread_comm.broadcast_calls);
-    assert_eq!(self_comm.allgather_calls, thread_comm.allgather_calls);
-    assert_eq!(self_comm.bytes_moved, thread_comm.bytes_moved);
-    assert_eq!(self_comm.bytes_moved, 0);
 }
 
 #[test]
@@ -137,6 +111,8 @@ fn sharded_engine_parity_at_size_one() {
 
     assert_eq!(self_run.seeds, thread_run.seeds);
     assert_eq!(self_comm.allreduce_calls, thread_comm.allreduce_calls);
+    assert_eq!(self_comm.barrier_calls, thread_comm.barrier_calls);
+    assert_eq!(self_comm.broadcast_calls, thread_comm.broadcast_calls);
     assert_eq!(self_comm.allgather_calls, thread_comm.allgather_calls);
     assert_eq!(
         self_comm.exchange_calls, thread_comm.exchange_calls,

@@ -66,9 +66,9 @@ fn unnormalized_lt_rejected_in_every_profile() {
         let comm = ripples_comm::SelfComm::new();
         let _ = ripples_core::dist::imm_distributed(&comm, &g, &p);
     });
-    assert_rejected("partitioned", || {
+    assert_rejected("sharded", || {
         let comm = ripples_comm::SelfComm::new();
-        let _ = ripples_core::dist_partitioned::imm_partitioned(&comm, &g, &p);
+        let _ = ripples_core::dist_sharded::imm_sharded(&comm, &g, &p);
     });
     assert_rejected("immopt --sample fused", || {
         let _ = ripples_core::seq::immopt_sequential_with_engines(
@@ -99,7 +99,7 @@ fn normalized_lt_accepted_in_every_profile() {
         4
     );
     assert_eq!(
-        ripples_core::dist_partitioned::imm_partitioned(&comm, &g, &p)
+        ripples_core::dist_sharded::imm_sharded(&comm, &g, &p)
             .seeds
             .len(),
         4

@@ -1,6 +1,6 @@
 //! Acceptance test for the run-report observability layer: all four IMM
 //! entry points (sequential, multithreaded, distributed-replicated,
-//! distributed-partitioned) must return populated [`RunReport`]s, and the
+//! distributed graph-sharded) must return populated [`RunReport`]s, and the
 //! deterministic counters — samples generated, total RRR entries, θ
 //! estimation rounds — must be *identical* across thread counts and rank
 //! counts for the same seed. That invariance is what makes the counters
@@ -8,7 +8,7 @@
 
 use ripples_comm::{SelfComm, ThreadWorld};
 use ripples_core::dist::imm_distributed;
-use ripples_core::dist_partitioned::imm_partitioned;
+use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
 use ripples_core::seq::immopt_sequential;
 use ripples_core::{ImmParams, ImmResult, RunReport};
@@ -118,28 +118,28 @@ fn partitioned_counters_invariant_across_world_sizes() {
     let g = graph();
     let p = params();
 
-    // The partitioned engine samples cooperatively (coin flips keyed by
+    // The graph-sharded engine samples cooperatively (coin flips keyed by
     // (sample, vertex)), so its edge counts differ from the replicated
     // engines' BFS — but they must still be invariant across world sizes.
-    let single = imm_partitioned(&SelfComm::new(), &g, &p);
-    assert_populated(&single.report, "partitioned");
+    let single = imm_sharded(&SelfComm::new(), &g, &p);
+    assert_populated(&single.report, "sharded");
     let expect = deterministic_counters(&single);
     let expect_edges = single.report.counters.edges_examined;
     assert!(expect_edges > 0);
 
     for size in [2u32, 3] {
         let world = ThreadWorld::new(size);
-        let results = world.run(|comm| imm_partitioned(comm, &g, &p));
+        let results = world.run(|comm| imm_sharded(comm, &g, &p));
         for (rank, r) in results.iter().enumerate() {
-            assert_populated(&r.report, "partitioned");
+            assert_populated(&r.report, "sharded");
             assert_eq!(
                 deterministic_counters(r),
                 expect,
-                "partitioned rank {rank} of {size} diverged"
+                "sharded rank {rank} of {size} diverged"
             );
             assert_eq!(
                 r.report.counters.edges_examined, expect_edges,
-                "partitioned rank {rank} of {size}: edge work diverged"
+                "sharded rank {rank} of {size}: edge work diverged"
             );
             assert!(r.report.comm.is_some());
         }
