@@ -65,11 +65,8 @@
 use ripples_bench::{measure, Args};
 use ripples_comm::ThreadWorld;
 use ripples_core::{
-    dist::{imm_distributed_with_storage, DistRngMode, DistSelectMode},
-    dist_sharded::imm_sharded_with_storage,
-    mt::imm_multithreaded_with_storage,
-    seq::immopt_sequential_with_storage,
-    ImmParams, ImmResult, SampleEngine, SelectEngine,
+    dist::imm_distributed, dist_sharded::imm_sharded, mt::imm_multithreaded,
+    seq::immopt_sequential, ImmParams, ImmResult, SampleEngine, SelectEngine,
 };
 use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
 use ripples_graph::generators::{barabasi_albert, erdos_renyi};
@@ -164,42 +161,20 @@ fn build_graph(name: &str, quick: bool) -> Graph {
     }
 }
 
-fn run_engine(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-    sample: SampleEngine,
-    store: StorageConfig,
-) -> ImmResult {
+fn run_engine(engine: &str, graph: &Graph, params: &ImmParams) -> ImmResult {
     match engine {
-        "opt" => immopt_sequential_with_storage(graph, params, select, sample, store),
-        "mt" => imm_multithreaded_with_storage(graph, params, 0, select, sample, store),
-        "dist" => {
-            let world = ThreadWorld::new(2);
-            world
-                .run(|comm| {
-                    imm_distributed_with_storage(
-                        comm,
-                        graph,
-                        params,
-                        DistRngMode::IndexedStreams,
-                        DistSelectMode::DenseAllReduce,
-                        store,
-                    )
-                })
-                .pop()
-                .expect("at least one rank")
-        }
+        "opt" => immopt_sequential(graph, params),
+        "mt" => imm_multithreaded(graph, params, 0),
+        "dist" => ThreadWorld::new(2)
+            .run(|comm| imm_distributed(comm, graph, params))
+            .pop()
+            .expect("at least one rank"),
         // The sharded rows run at 4 ranks so the committed per-rank
         // graph_bytes_peak shows a real (4-way) cut, not a 2-way one.
-        "sharded" => {
-            let world = ThreadWorld::new(4);
-            world
-                .run(|comm| imm_sharded_with_storage(comm, graph, params, store))
-                .pop()
-                .expect("at least one rank")
-        }
+        "sharded" => ThreadWorld::new(4)
+            .run(|comm| imm_sharded(comm, graph, params))
+            .pop()
+            .expect("at least one rank"),
         other => panic!("unknown snapshot engine `{other}`"),
     }
 }
@@ -354,21 +329,16 @@ fn main() {
     let mut records = String::new();
     for (i, config) in matrix.iter().enumerate() {
         let graph = build_graph(config.graph_name, quick);
+        let params = params
+            .with_select(select)
+            .with_sample(config.sample)
+            .with_storage(config.store);
         // Repeated trials: identical seeds make every trial compute the
         // same answer, so only the timings vary — keep the median-wall
         // trial's result for the counters and fold the rest into stats.
         let mut runs: Vec<(ImmResult, f64)> = (0..trials)
             .map(|_| {
-                let (result, wall) = measure(|| {
-                    run_engine(
-                        config.engine,
-                        &graph,
-                        &params,
-                        select,
-                        config.sample,
-                        config.store,
-                    )
-                });
+                let (result, wall) = measure(|| run_engine(config.engine, &graph, &params));
                 (result, wall.as_secs_f64())
             })
             .collect();

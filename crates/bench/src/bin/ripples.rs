@@ -23,7 +23,8 @@
 //! `--select` picks the greedy max-cover engine for the `opt` and `mt`
 //! engines (default `auto`, a cost-model dispatch between `fused` and
 //! `partitioned`; every choice returns the same seed set — see
-//! EXPERIMENTS.md for the memory/speed trade-offs).
+//! EXPERIMENTS.md for the memory/speed trade-offs). Other engines ignore
+//! it with a warning.
 //!
 //! `--sample` picks the RRR sampling kernel for the `opt`, `mt`, and `tim`
 //! engines (default `reference`). `fused` advances 64 cascades per frontier
@@ -81,12 +82,12 @@ use ripples_core::obs::trace;
 use ripples_core::{
     celf::celf_greedy,
     community::community_imm,
-    dist::{imm_distributed, imm_distributed_with_storage, DistRngMode, DistSelectMode},
-    dist_sharded::{imm_sharded, imm_sharded_with_storage},
+    dist::imm_distributed,
+    dist_sharded::imm_sharded,
     heuristics::degree_discount_ic,
-    mt::imm_multithreaded_with_storage,
-    seq::{imm_baseline, immopt_sequential, immopt_sequential_with_storage},
-    tim::tim_plus_with_storage,
+    mt::imm_multithreaded,
+    seq::{imm_baseline, immopt_sequential},
+    tim::tim_plus,
     ImmParams, SampleEngine, SelectEngine,
 };
 use ripples_diffusion::{estimate_spread, DiffusionModel, RrrStoreKind, StorageConfig};
@@ -291,16 +292,21 @@ fn main() {
     let k: u32 = args.parse_or("k", 50);
     let epsilon: f64 = args.parse_or("epsilon", 0.5);
     let seed: u64 = args.parse_or("seed", 0);
-    let params = ImmParams::new(k, epsilon, model, seed);
-    let select = args.get("select").map(|tag| {
-        SelectEngine::from_tag(tag).unwrap_or_else(|| {
-            eprintln!(
-                "error: unknown --select `{tag}` \
-                 (try auto|sequential|partitioned|lazy|hypergraph|fused)"
-            );
-            std::process::exit(1);
+    let select = args
+        .get("select")
+        .map(|tag| {
+            SelectEngine::from_tag(tag).unwrap_or_else(|| {
+                eprintln!(
+                    "error: unknown --select `{tag}` \
+                     (try auto|sequential|partitioned|lazy|hypergraph|fused)"
+                );
+                std::process::exit(1);
+            })
         })
-    });
+        .unwrap_or(SelectEngine::Auto);
+    if args.get("select").is_some() && !matches!(engine.as_str(), "opt" | "mt") {
+        eprintln!("warning: --select only affects the opt/mt engines; ignoring");
+    }
     let sample = args
         .get("sample")
         .map(|tag| {
@@ -341,6 +347,10 @@ fn main() {
             "warning: --rrr-store only affects the opt/mt/dist/sharded/tim engines; ignoring"
         );
     }
+    let params = ImmParams::new(k, epsilon, model, seed)
+        .with_select(select)
+        .with_sample(sample)
+        .with_storage(storage);
 
     let chaos: Option<FaultPlan> = args.get("chaos-seed").map(|s| {
         let chaos_seed: u64 = s.parse().expect("--chaos-seed takes a u64");
@@ -399,18 +409,7 @@ fn main() {
     let start = std::time::Instant::now();
     let (seeds, detail, report) = match engine.as_str() {
         "opt" => {
-            let r = match (select, sample, storage.kind) {
-                (None, SampleEngine::Reference, RrrStoreKind::Flat) => {
-                    immopt_sequential(&graph, &params)
-                }
-                (sel, sam, _) => immopt_sequential_with_storage(
-                    &graph,
-                    &params,
-                    sel.unwrap_or(SelectEngine::Auto),
-                    sam,
-                    storage,
-                ),
-            };
+            let r = immopt_sequential(&graph, &params);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
@@ -422,32 +421,10 @@ fn main() {
         "dist" => {
             let ranks: u32 = args.parse_or("ranks", 2);
             let world = ThreadWorld::new(ranks);
-            let mut results = match &chaos {
-                Some(plan) => world.run(|comm| {
-                    let faulty = FaultComm::new(comm, plan.clone());
-                    imm_distributed_with_storage(
-                        &faulty,
-                        &graph,
-                        &params,
-                        DistRngMode::IndexedStreams,
-                        DistSelectMode::DenseAllReduce,
-                        storage,
-                    )
-                }),
-                None if storage.kind == RrrStoreKind::Flat => {
-                    world.run(|comm| imm_distributed(comm, &graph, &params))
-                }
-                None => world.run(|comm| {
-                    imm_distributed_with_storage(
-                        comm,
-                        &graph,
-                        &params,
-                        DistRngMode::IndexedStreams,
-                        DistSelectMode::DenseAllReduce,
-                        storage,
-                    )
-                }),
-            };
+            let mut results = world.run(|comm| match &chaos {
+                Some(plan) => imm_distributed(&FaultComm::new(comm, plan.clone()), &graph, &params),
+                None => imm_distributed(comm, &graph, &params),
+            });
             let r = results.pop().expect("at least one rank");
             let detail = format!("ranks={ranks} theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
@@ -466,16 +443,10 @@ fn main() {
         "sharded" => {
             let ranks: u32 = args.parse_or("ranks", 2);
             let world = ThreadWorld::new(ranks);
-            let mut results = match &chaos {
-                Some(plan) => world.run(|comm| {
-                    let faulty = FaultComm::new(comm, plan.clone());
-                    imm_sharded_with_storage(&faulty, &graph, &params, storage)
-                }),
-                None if storage.kind == RrrStoreKind::Flat => {
-                    world.run(|comm| imm_sharded(comm, &graph, &params))
-                }
-                None => world.run(|comm| imm_sharded_with_storage(comm, &graph, &params, storage)),
-            };
+            let mut results = world.run(|comm| match &chaos {
+                Some(plan) => imm_sharded(&FaultComm::new(comm, plan.clone()), &graph, &params),
+                None => imm_sharded(comm, &graph, &params),
+            });
             let r = results.pop().expect("at least one rank");
             let detail = format!(
                 "ranks={ranks} theta={} per-rank-graph={}B frontier-exchanges={} \
@@ -489,7 +460,7 @@ fn main() {
             (r.seeds, detail, Some(r.report))
         }
         "tim" => {
-            let r = tim_plus_with_storage(&graph, &params, sample, storage);
+            let r = tim_plus(&graph, &params);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }
@@ -509,14 +480,7 @@ fn main() {
         }
         "mt" => {
             let threads: usize = args.parse_or("threads", 0);
-            let r = imm_multithreaded_with_storage(
-                &graph,
-                &params,
-                threads,
-                select.unwrap_or(SelectEngine::Auto),
-                sample,
-                storage,
-            );
+            let r = imm_multithreaded(&graph, &params, threads);
             let detail = format!("theta={} phases=[{}]", r.theta, r.timers);
             (r.seeds, detail, Some(r.report))
         }

@@ -1,4 +1,22 @@
-//! High-level one-call entry points.
+//! High-level one-call entry point.
+//!
+//! Every IMM engine takes its choices from [`ImmParams`]: build the
+//! parameters once with its builders and pass them to the engine you need.
+//!
+//! ```
+//! use ripples_core::{ImmParams, SelectEngine};
+//! use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
+//! use ripples_graph::{generators::erdos_renyi, WeightModel};
+//!
+//! // LT runs require in-weights summing to ≤ 1 per vertex — build the
+//! // graph with the normalization pass (the `true` flag).
+//! let graph = erdos_renyi(100, 500, WeightModel::Constant(0.1), true, 1);
+//! let params = ImmParams::new(5, 0.5, DiffusionModel::LinearThreshold, 7)
+//!     .with_select(SelectEngine::Fused)
+//!     .with_storage(StorageConfig::of(RrrStoreKind::Varint));
+//! let result = ripples_core::mt::imm_multithreaded(&graph, &params, 1);
+//! assert_eq!(result.seeds.len(), 5);
+//! ```
 
 use crate::params::ImmParams;
 use crate::result::ImmResult;
@@ -14,106 +32,6 @@ use ripples_graph::Graph;
 #[must_use]
 pub fn maximize_influence(graph: &Graph, params: &ImmParams) -> ImmResult {
     crate::mt::imm_multithreaded(graph, params, 0)
-}
-
-/// Builder-style front end over [`ImmParams`] for ergonomic call sites.
-///
-/// ```
-/// use ripples_core::api::ImmRunner;
-/// use ripples_diffusion::DiffusionModel;
-/// use ripples_graph::{generators::erdos_renyi, WeightModel};
-///
-/// // LT runs require in-weights summing to ≤ 1 per vertex — build the
-/// // graph with the normalization pass (the `true` flag).
-/// let graph = erdos_renyi(100, 500, WeightModel::Constant(0.1), true, 1);
-/// let result = ImmRunner::new(&graph)
-///     .seeds(5)
-///     .epsilon(0.5)
-///     .model(DiffusionModel::LinearThreshold)
-///     .rng_seed(7)
-///     .run();
-/// assert_eq!(result.seeds.len(), 5);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ImmRunner<'g> {
-    graph: &'g Graph,
-    k: u32,
-    epsilon: f64,
-    ell: f64,
-    model: ripples_diffusion::DiffusionModel,
-    seed: u64,
-    threads: usize,
-}
-
-impl<'g> ImmRunner<'g> {
-    /// Starts a runner with the paper's default parameters
-    /// (`k = 50`, `ε = 0.5`, IC, ℓ = 1).
-    #[must_use]
-    pub fn new(graph: &'g Graph) -> Self {
-        Self {
-            graph,
-            k: 50,
-            epsilon: 0.5,
-            ell: 1.0,
-            model: ripples_diffusion::DiffusionModel::IndependentCascade,
-            seed: 0,
-            threads: 0,
-        }
-    }
-
-    /// Sets the seed-set size `k`.
-    #[must_use]
-    pub fn seeds(mut self, k: u32) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Sets the accuracy parameter `ε`.
-    #[must_use]
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the failure exponent `ℓ`.
-    #[must_use]
-    pub fn ell(mut self, ell: f64) -> Self {
-        self.ell = ell;
-        self
-    }
-
-    /// Sets the diffusion model.
-    #[must_use]
-    pub fn model(mut self, model: ripples_diffusion::DiffusionModel) -> Self {
-        self.model = model;
-        self
-    }
-
-    /// Sets the master RNG seed.
-    #[must_use]
-    pub fn rng_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the worker thread count (0 = all cores).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Materializes the parameters.
-    #[must_use]
-    pub fn params(&self) -> ImmParams {
-        ImmParams::new(self.k, self.epsilon, self.model, self.seed).with_ell(self.ell)
-    }
-
-    /// Runs the multithreaded engine.
-    #[must_use]
-    pub fn run(&self) -> ImmResult {
-        crate::mt::imm_multithreaded(self.graph, &self.params(), self.threads)
-    }
 }
 
 #[cfg(test)]
@@ -133,24 +51,5 @@ mod tests {
         );
         let r = maximize_influence(&g, &p);
         assert_eq!(r.seeds.len(), 3);
-    }
-
-    #[test]
-    fn builder_matches_direct_call() {
-        let g = erdos_renyi(150, 900, WeightModel::Constant(0.1), false, 5);
-        let via_builder = ImmRunner::new(&g)
-            .seeds(4)
-            .epsilon(0.5)
-            .rng_seed(9)
-            .threads(1)
-            .run();
-        let p = ImmParams::new(
-            4,
-            0.5,
-            ripples_diffusion::DiffusionModel::IndependentCascade,
-            9,
-        );
-        let direct = crate::mt::imm_multithreaded(&g, &p, 1);
-        assert_eq!(via_builder.seeds, direct.seeds);
     }
 }

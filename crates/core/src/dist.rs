@@ -17,21 +17,22 @@
 //!   seed set — the cross-implementation equivalence the test suite checks.
 //!
 //! The IMM round loop itself (θ estimation, top-up, selection, counter
-//! finalization) is written once, in `run_imm`, and shared with the
-//! graph-sharded engine ([`crate::dist_sharded`]); the two differ only in
-//! how a rank grows its local sample store.
+//! block) is the driver every sampling-based engine shares
+//! ([`crate::driver`]). This module adds the collective layer around it,
+//! `run_distributed`, which the graph-sharded engine
+//! ([`crate::dist_sharded`]) reuses; the two differ only in how a rank
+//! grows its local sample store.
 
+use crate::driver::{degenerate_result, run_imm};
 use crate::memory::MemoryStats;
 use crate::obs::{CommCounters, Histogram, RunReport};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::select::{fused_is_profitable, fused_is_profitable_store, SelectStats};
-use crate::theta::ThetaSchedule;
+use crate::select::{fused_is_profitable_store, SelectStats};
 use ripples_comm::{Communicator, RetryComm};
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
 use ripples_diffusion::{
     DiffusionModel, DynRrrStore, IncrementalSampleIndex, RrrCollection, RrrStore, SampleIndex,
-    StorageConfig,
 };
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::{RankStream, StreamFactory};
@@ -69,8 +70,8 @@ pub enum DistSelectMode {
 
 /// Distributed greedy seed selection over each rank's local samples.
 ///
-/// Returns `(seeds, covered_global, fraction, stats)`; everything but the
-/// per-rank `stats` is identical on every rank.
+/// Returns `(seeds, fraction, stats)`; everything but the per-rank `stats`
+/// is identical on every rank.
 pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     comm: &C,
     local: &S,
@@ -78,7 +79,7 @@ pub(crate) fn select_seeds_distributed<C: Communicator, S: RrrStore>(
     n: u32,
     k: u32,
     select_mode: DistSelectMode,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
+) -> (Vec<Vertex>, f64, SelectStats) {
     if let Some(flat) = local.as_flat() {
         select_seeds_distributed_flat(comm, flat, theta_global, n, k, select_mode)
     } else {
@@ -96,7 +97,7 @@ fn select_seeds_distributed_flat<C: Communicator>(
     n: u32,
     k: u32,
     select_mode: DistSelectMode,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
+) -> (Vec<Vertex>, f64, SelectStats) {
     let n_us = n as usize;
     let k = k.min(n);
 
@@ -106,7 +107,7 @@ fn select_seeds_distributed_flat<C: Communicator>(
     // Only built when the cost model says its O(E) construction amortizes
     // over the k purge passes; the decrement sums are identical either way,
     // so ranks may even disagree on the choice without diverging.
-    let index = if fused_is_profitable(local, k) {
+    let index = if fused_is_profitable_store(local, k) {
         let t0 = std::time::Instant::now();
         let index = SampleIndex::build(local, n, 1);
         if crate::obs::trace::enabled() {
@@ -250,7 +251,7 @@ fn select_seeds_distributed_flat<C: Communicator>(
     } else {
         covered_global as f64 / theta_eff as f64
     };
-    (seeds, covered_global, fraction, stats)
+    (seeds, fraction, stats)
 }
 
 /// Distributed selection over a compressed local [`RrrStore`]: the same
@@ -268,10 +269,10 @@ fn select_seeds_distributed_store<C: Communicator, S: RrrStore>(
     n: u32,
     k: u32,
     select_mode: DistSelectMode,
-) -> (Vec<Vertex>, usize, f64, SelectStats) {
+) -> (Vec<Vertex>, f64, SelectStats) {
     let k = k.min(n);
     let mut stats = SelectStats::default();
-    let (seeds, covered_global, fraction) = if fused_is_profitable_store(local, k) {
+    let (seeds, fraction) = if fused_is_profitable_store(local, k) {
         let t0 = std::time::Instant::now();
         local.with_sample_index(n, |index| {
             stats.index_build_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -307,7 +308,7 @@ fn select_seeds_distributed_store<C: Communicator, S: RrrStore>(
             &mut stats,
         )
     };
-    (seeds, covered_global, fraction, stats)
+    (seeds, fraction, stats)
 }
 
 /// The collective greedy rounds of [`select_seeds_distributed_store`],
@@ -324,7 +325,7 @@ fn distributed_store_rounds<C: Communicator, S: RrrStore>(
     select_mode: DistSelectMode,
     index: Option<&IncrementalSampleIndex>,
     stats: &mut SelectStats,
-) -> (Vec<Vertex>, usize, f64) {
+) -> (Vec<Vertex>, f64) {
     let n_us = n as usize;
 
     let mut counters: Vec<u64> = match &index {
@@ -430,7 +431,7 @@ fn distributed_store_rounds<C: Communicator, S: RrrStore>(
     } else {
         covered_global as f64 / theta_eff as f64
     };
-    (seeds, covered_global, fraction)
+    (seeds, fraction)
 }
 
 /// Merges one rank's local histogram into the identical global histogram on
@@ -511,35 +512,28 @@ pub enum DistRngMode {
 /// Runs distributed IMM on this rank. Must be called collectively by every
 /// rank of `comm` with identical `graph` and `params`.
 ///
-/// Uses [`DistRngMode::IndexedStreams`]; see
-/// [`imm_distributed_with_rng`] for the paper-faithful leap-frog mode.
+/// Uses [`DistRngMode::IndexedStreams`] and [`DistSelectMode::DenseAllReduce`];
+/// see [`imm_distributed_full`] for the paper-faithful leap-frog RNG and
+/// the sparse counter aggregation. Each rank holds its local sample stride
+/// in the [`ImmParams::storage`] backend; the selection protocol's
+/// decrement sums are storage-independent, so seeds match the flat run at
+/// every world size.
 ///
 /// Returns the (identical) result on every rank; `sample_work` contains only
 /// this rank's local sampling work.
 #[must_use]
 pub fn imm_distributed<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams) -> ImmResult {
-    imm_distributed_with_rng(comm, graph, params, DistRngMode::IndexedStreams)
-}
-
-/// [`imm_distributed`] with an explicit RNG distribution strategy.
-#[must_use]
-pub fn imm_distributed_with_rng<C: Communicator>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    rng_mode: DistRngMode,
-) -> ImmResult {
     imm_distributed_full(
         comm,
         graph,
         params,
-        rng_mode,
+        DistRngMode::IndexedStreams,
         DistSelectMode::DenseAllReduce,
     )
 }
 
-/// The fully-parameterized distributed entry point: RNG strategy ×
-/// counter-aggregation strategy.
+/// [`imm_distributed`] with an explicit RNG strategy × counter-aggregation
+/// strategy (the ablations of the paper's §3.2 design).
 #[must_use]
 pub fn imm_distributed_full<C: Communicator>(
     comm: &C,
@@ -548,46 +542,6 @@ pub fn imm_distributed_full<C: Communicator>(
     rng_mode: DistRngMode,
     select_mode: DistSelectMode,
 ) -> ImmResult {
-    imm_distributed_impl(
-        comm,
-        graph,
-        params,
-        rng_mode,
-        select_mode,
-        RrrCollection::new(),
-    )
-}
-
-/// [`imm_distributed_full`] with an explicit per-rank RRR storage backend
-/// (CLI `--rrr-store` / `--rrr-budget`). Each rank holds its local sample
-/// stride in the chosen backend; the selection protocol's decrement sums
-/// are storage-independent, so seeds match the flat run at every world
-/// size. The flat backend takes exactly the [`imm_distributed_full`] code
-/// paths.
-#[must_use]
-pub fn imm_distributed_with_storage<C: Communicator>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    rng_mode: DistRngMode,
-    select_mode: DistSelectMode,
-    storage: StorageConfig,
-) -> ImmResult {
-    if storage.kind == ripples_diffusion::RrrStoreKind::Flat {
-        return imm_distributed_full(comm, graph, params, rng_mode, select_mode);
-    }
-    let store = DynRrrStore::new(storage, graph.num_vertices());
-    imm_distributed_impl(comm, graph, params, rng_mode, select_mode, store)
-}
-
-fn imm_distributed_impl<C: Communicator, S: RrrStore>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    rng_mode: DistRngMode,
-    select_mode: DistSelectMode,
-    store: S,
-) -> ImmResult {
     let n = graph.num_vertices();
     let model = params.model;
     let factory = StreamFactory::new(params.seed);
@@ -595,14 +549,13 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
     let mut scratch = RrrScratch::new(n);
     // Persistent per-rank leap-frog stream (used only in LeapFrog mode).
     let mut rank_stream = RankStream::new(params.seed, rank, size);
-    run_imm(
+    run_distributed(
         comm,
         graph,
         params,
         "dist",
         graph.resident_bytes(),
         select_mode,
-        store,
         // Append this rank's stride of the newly added global range.
         |_, range, local, report, sample_work| {
             let mut batch_samples = 0u64;
@@ -634,13 +587,14 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
     )
 }
 
-/// The IMM driver shared by the distributed engines ([`imm_distributed`]
-/// and [`crate::dist_sharded::imm_sharded`]): everything but how a rank
-/// grows its local sample store.
+/// The collective layer the distributed engines ([`imm_distributed`] and
+/// [`crate::dist_sharded::imm_sharded`]) wrap around the shared driver
+/// ([`crate::driver::run_imm`]), which selects with
+/// [`select_seeds_distributed`] over a `params.storage` store.
 ///
-/// It owns the retry shield, the θ-estimation rounds and the final
-/// top-up, distributed seed selection, memory observation, and the
-/// collective finalization of counters, health, comm delta and trace.
+/// It owns the retry shield, the LT normalization check, the rank's trace
+/// tag and graph gauge, and — after the driver returns — the collective
+/// finalization of counters, health, comm delta and trace.
 ///
 /// * `graph_bytes` is this rank's resident graph footprint.
 /// * `grow(comm, range, local, report, sample_work)` appends this rank's
@@ -653,15 +607,20 @@ fn imm_distributed_impl<C: Communicator, S: RrrStore>(
 ///
 /// Must be called collectively by every rank of `comm`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_imm<'c, C: Communicator, S: RrrStore>(
+pub(crate) fn run_distributed<'c, C: Communicator>(
     comm: &'c C,
     graph: &Graph,
     params: &ImmParams,
     engine: &str,
     graph_bytes: usize,
     select_mode: DistSelectMode,
-    store: S,
-    mut grow: impl FnMut(&RetryComm<&'c C>, Range<usize>, &mut S, &mut RunReport, &mut Vec<u64>),
+    mut grow: impl FnMut(
+        &RetryComm<&'c C>,
+        Range<usize>,
+        &mut DynRrrStore,
+        &mut RunReport,
+        &mut Vec<u64>,
+    ),
     publish: impl FnOnce(&RetryComm<&'c C>, &mut RunReport),
 ) -> ImmResult {
     // All collectives below run through the retry/rank-death layer: on a
@@ -671,18 +630,10 @@ pub(crate) fn run_imm<'c, C: Communicator, S: RrrStore>(
     let comm = &RetryComm::with_defaults(comm);
     let n = graph.num_vertices();
     if n < 2 {
-        // Degenerate inputs take the sequential path; keep ranks aligned.
+        // Nothing to sample or aggregate; keep ranks aligned.
         comm.barrier();
-        return crate::seq::immopt_sequential(graph, params);
+        return degenerate_result(engine, graph, params);
     }
-    let k = params.effective_k(n);
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
     // The engines sample below the batch samplers' entry validation —
     // re-assert the LT normalization contract on the full graph (every rank
     // holds it) so un-normalized input fails fast in every profile.
@@ -696,120 +647,33 @@ pub(crate) fn run_imm<'c, C: Communicator, S: RrrStore>(
         crate::obs::metrics::set(crate::obs::metrics::Metric::GraphBytes, graph_bytes as u64);
     }
 
-    let mut report = RunReport::new(engine);
     let comm_before = comm.stats();
-    let mut memory = MemoryStats {
+    let memory = MemoryStats {
         counter_bytes: 2 * n as usize * std::mem::size_of::<u64>(),
         graph_bytes,
         ..MemoryStats::default()
     };
-    let mut local = store;
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut theta_global: usize = 0;
-    let mut select_stats = SelectStats::default();
+    let (mut result, _) = run_imm(
+        engine,
+        graph,
+        params,
+        memory,
+        DynRrrStore::new(params.storage, n),
+        |range, local, report, sample_work| grow(comm, range, local, report, sample_work),
+        |local, theta, k| select_seeds_distributed(comm, local, theta, n, k, select_mode),
+    );
 
-    // --- EstimateTheta -----------------------------------------------------
-    let mut lb: Option<f64> = None;
-    report.span("EstimateTheta", |report| {
-        for x in 1..=schedule.max_rounds() {
-            let budget = schedule.round_budget(x);
-            if crate::obs::metrics::enabled() {
-                crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, budget as u64);
-            }
-            let stop = report.span(&format!("round-{x}"), |report| {
-                if budget > theta_global {
-                    report.span("sample", |report| {
-                        grow(
-                            comm,
-                            theta_global..budget,
-                            &mut local,
-                            report,
-                            &mut sample_work,
-                        );
-                    });
-                    theta_global = budget;
-                }
-                memory.observe_rrr(local.resident_bytes());
-                let (sel_seeds, _, fraction, sstats) = report.span("select", |_| {
-                    select_seeds_distributed(comm, &local, theta_global, n, sizing_k, select_mode)
-                });
-                select_stats.absorb(sstats);
-                report.counters.theta_rounds += 1;
-                report.counters.select_iterations += sel_seeds.len() as u64;
-                report.counters.round_budgets.push(budget as u64);
-                report.counters.round_coverage.push(fraction);
-                if schedule.round_succeeds(x, fraction) {
-                    lb = Some(schedule.lower_bound(fraction));
-                    true
-                } else {
-                    false
-                }
-            });
-            if stop {
-                break;
-            }
-        }
-    });
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-
-    // --- Sample top-up -------------------------------------------------
-    if theta > theta_global {
-        report.span("Sample", |report| {
-            grow(
-                comm,
-                theta_global..theta,
-                &mut local,
-                report,
-                &mut sample_work,
-            );
-        });
-        theta_global = theta;
-    }
-    memory.observe_rrr(local.resident_bytes());
-
-    // --- SelectSeeds ------------------------------------------------------
-    let (seeds, _, fraction, final_stats) = report.span("SelectSeeds", |_| {
-        select_seeds_distributed(comm, &local, theta_global, n, k, select_mode)
-    });
-    select_stats.absorb(final_stats);
-    report.counters.select_iterations += seeds.len() as u64;
-
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = local.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = theta_global as u64;
-    report.counters.unsorted_pushes = local.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos = select_stats.decode_nanos;
-    report.counters.spill_bytes_written = local.spill_bytes_written();
-    globalize_counters(comm, &mut report);
-    globalize_health(comm, &mut report);
-    publish(comm, &mut report);
+    let report = &mut result.report;
+    globalize_counters(comm, report);
+    globalize_health(comm, report);
+    publish(comm, report);
     report.comm = Some(CommCounters::delta(&comm_before, &comm.stats()));
     if crate::obs::trace::enabled() {
         // Collective: every rank contributes its timeline and every rank
         // receives the same rank-tagged merge.
         report.trace = Some(crate::obs::trace::gather_trace(comm));
     }
-
-    ImmResult {
-        seeds,
-        theta: theta_global,
-        coverage_fraction: fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    }
+    result
 }
 
 #[cfg(test)]
@@ -1001,6 +865,16 @@ mod leapfrog_mode_tests {
     use ripples_graph::WeightModel;
     use ripples_rng::StreamFactory;
 
+    fn leapfrog<C: Communicator>(comm: &C, g: &Graph, p: &ImmParams) -> ImmResult {
+        imm_distributed_full(
+            comm,
+            g,
+            p,
+            DistRngMode::LeapFrog,
+            DistSelectMode::DenseAllReduce,
+        )
+    }
+
     #[test]
     fn leapfrog_mode_quality_parity() {
         // Leap-frog sample content depends on world size (as in the paper's
@@ -1016,12 +890,9 @@ mod leapfrog_mode_tests {
         let model = DiffusionModel::IndependentCascade;
         let p = ImmParams::new(5, 0.5, model, 31);
         let world = ripples_comm::ThreadWorld::new(3);
-        let lf = world
-            .run(|comm| imm_distributed_with_rng(comm, &g, &p, DistRngMode::LeapFrog))
-            .pop()
-            .unwrap();
+        let lf = world.run(|comm| leapfrog(comm, &g, &p)).pop().unwrap();
         let idx = world
-            .run(|comm| imm_distributed_with_rng(comm, &g, &p, DistRngMode::IndexedStreams))
+            .run(|comm| imm_distributed(comm, &g, &p))
             .pop()
             .unwrap();
         assert_eq!(lf.seeds.len(), idx.seeds.len());
@@ -1041,8 +912,7 @@ mod leapfrog_mode_tests {
         let g = erdos_renyi(200, 1500, WeightModel::UniformRandom { seed: 3 }, false, 66);
         let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 9);
         let world = ripples_comm::ThreadWorld::new(4);
-        let results =
-            world.run(|comm| imm_distributed_with_rng(comm, &g, &p, DistRngMode::LeapFrog));
+        let results = world.run(|comm| leapfrog(comm, &g, &p));
         for r in &results[1..] {
             assert_eq!(r.seeds, results[0].seeds);
             assert_eq!(r.theta, results[0].theta);

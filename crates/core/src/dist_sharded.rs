@@ -34,16 +34,14 @@
 //! (tested below).
 //!
 //! Only sampling lives here: the θ rounds, seed selection and counter
-//! finalization are the driver shared with [`crate::dist`].
+//! finalization are the collective driver shared with [`crate::dist`].
 
-use crate::dist::{run_imm, DistSelectMode};
+use crate::dist::{run_distributed, DistSelectMode};
 use crate::params::ImmParams;
 use crate::result::ImmResult;
 use ripples_comm::Communicator;
 use ripples_diffusion::partitioned::{expand_shard_chunk, sample_root, sample_stream_seed};
-use ripples_diffusion::{
-    DiffusionModel, DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, StorageConfig,
-};
+use ripples_diffusion::{DiffusionModel, RrrStore};
 use ripples_graph::partition::VertexCutShard;
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
@@ -291,49 +289,20 @@ pub fn sample_batch_sharded<C: Communicator, S: RrrStore>(
 
 /// Full IMM over a vertex-cut sharded graph: block-pipelined cooperative
 /// sampling + the standard distributed (dense All-Reduce) seed selection
-/// over home samples.
+/// over home samples, held in the [`ImmParams::storage`] backend. The seed
+/// set is identical at every rank count and for every backend.
 ///
 /// Each rank needs only its shard for sampling; the full `graph` argument
 /// exists because the experiments hold it anyway (a production deployment
 /// would load per-rank edge sub-lists directly).
 #[must_use]
 pub fn imm_sharded<C: Communicator>(comm: &C, graph: &Graph, params: &ImmParams) -> ImmResult {
-    imm_sharded_impl(comm, graph, params, RrrCollection::new())
-}
-
-/// [`imm_sharded`] over an explicit RRR storage backend (CLI `--rrr-store`
-/// / `--rrr-budget`); the seed set is identical at every rank count and for
-/// every backend.
-#[must_use]
-pub fn imm_sharded_with_storage<C: Communicator>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    storage: StorageConfig,
-) -> ImmResult {
-    if storage.kind == RrrStoreKind::Flat {
-        return imm_sharded(comm, graph, params);
-    }
-    imm_sharded_impl(
-        comm,
-        graph,
-        params,
-        DynRrrStore::new(storage, graph.num_vertices()),
-    )
-}
-
-fn imm_sharded_impl<C: Communicator, S: RrrStore>(
-    comm: &C,
-    graph: &Graph,
-    params: &ImmParams,
-    store: S,
-) -> ImmResult {
     let shard = VertexCutShard::extract(graph, comm.rank(), comm.size());
     let factory = StreamFactory::new(params.seed);
     // Shared by the sampling closure (which tallies) and the publishing
     // one (which reduces the tallies at the end of the run).
     let exchange = Cell::new(ExchangeStats::default());
-    run_imm(
+    run_distributed(
         comm,
         graph,
         params,
@@ -341,7 +310,6 @@ fn imm_sharded_impl<C: Communicator, S: RrrStore>(
         // The honest headline: per-rank graph bytes are the shard's.
         shard.resident_bytes(),
         DistSelectMode::DenseAllReduce,
-        store,
         |comm, range, local, report, sample_work| {
             let old_len = local.len();
             let mut stats = exchange.get();
@@ -388,6 +356,7 @@ mod tests {
     use super::*;
     use ripples_comm::{SelfComm, ThreadWorld};
     use ripples_diffusion::partitioned::vertex_keyed_rrr;
+    use ripples_diffusion::{RrrCollection, RrrStoreKind, StorageConfig};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -502,12 +471,12 @@ mod tests {
             RrrStoreKind::Spill,
         ] {
             let budget = (kind == RrrStoreKind::Spill).then_some(4096);
-            let storage = StorageConfig { kind, budget };
-            let single = imm_sharded_with_storage(&SelfComm::new(), &g, &p, storage);
+            let p = p.with_storage(StorageConfig { kind, budget });
+            let single = imm_sharded(&SelfComm::new(), &g, &p);
             assert_eq!(single.seeds, flat.seeds, "{kind:?} single rank");
             assert_eq!(single.theta, flat.theta, "{kind:?} single rank");
             let world = ThreadWorld::new(2);
-            let results = world.run(|comm| imm_sharded_with_storage(comm, &g, &p, storage));
+            let results = world.run(|comm| imm_sharded(comm, &g, &p));
             for r in &results {
                 assert_eq!(r.seeds, flat.seeds, "{kind:?} world 2");
                 assert_eq!(r.theta, flat.theta, "{kind:?} world 2");

@@ -21,11 +21,16 @@
 //! the community-based heuristic of reference \[14\] ([`community`]) — the
 //! paper's future-work extension of running IMM over a *partitioned* input
 //! graph, as a vertex-cut sharded engine with batched asynchronous frontier
-//! exchange ([`dist_sharded`]) that shares its IMM driver with [`dist`],
-//! instrumentation matching the paper's phase
-//! breakdown ([`phases`]), RRR-storage memory accounting ([`memory`]), and
+//! exchange ([`dist_sharded`]) that shares its collective IMM driver with
+//! [`dist`], instrumentation matching the paper's phase breakdown
+//! ([`phases`]), RRR-storage memory accounting ([`memory`]), and
 //! the strong-scaling replay model ([`scaling`]) that substitutes for the
 //! clusters this reproduction does not have (see DESIGN.md).
+//!
+//! Every sampling-based engine runs the same Algorithm 1 driver and has one
+//! entry point; its selection engine, sampling kernel and RRR store are
+//! fields of [`ImmParams`] ([`ImmParams::with_select`],
+//! [`ImmParams::with_sample`], [`ImmParams::with_storage`]).
 //!
 //! # Quickstart
 //!
@@ -47,6 +52,7 @@ pub mod celf;
 pub mod community;
 pub mod dist;
 pub mod dist_sharded;
+mod driver;
 pub mod heuristics;
 pub mod memory;
 pub mod mt;
@@ -70,7 +76,7 @@ pub use phases::{Phase, PhaseTimers};
 pub use result::ImmResult;
 pub use sample::{fused_sampling_is_profitable, SampleEngine, SamplerDispatch};
 pub use select::{
-    coverage_of, fused_is_profitable, fused_is_profitable_store, select_seeds_store_banned,
-    select_with_engine_store, SelectEngine, SelectStats,
+    coverage_of, fused_is_profitable_store, select_seeds_store_direct, select_with_engine_store,
+    SelectEngine, SelectStats,
 };
 pub use sketch::{build_resident_sketch, coverage_of_store, ResidentSketchBuild};

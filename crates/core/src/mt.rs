@@ -9,117 +9,33 @@
 //! * **Seed selection**: the vertex space is partitioned into per-thread
 //!   intervals so counter updates need no synchronization, and sorted
 //!   samples are navigated by binary search
-//!   (`crate::select::select_seeds_partitioned`).
+//!   (`crate::select::select_seeds_partitioned`) or walked through an
+//!   inverted index (`crate::select::select_seeds_fused`).
 //!
 //! The thread count is explicit so the strong-scaling sweep (Figures 5–6)
 //! can pin it; pass 0 to use all available parallelism.
 
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::{select_with_engine, SelectEngine};
-use crate::seq::run_imm_compact;
 use ripples_graph::Graph;
-use ripples_rng::StreamFactory;
 
-/// Runs IMM with `threads` worker threads (0 = rayon default), selecting
-/// seeds with the cost-model dispatch ([`SelectEngine::Auto`]): the fused
-/// index-driven engine when its O(E) build amortizes over the greedy
-/// passes, the interval-partitioned engine otherwise — partitioned one
-/// interval per worker either way.
+/// Runs IMM with `threads` worker threads (0 = rayon default). Selection
+/// partitions the vertex space one interval per worker; the engine,
+/// sampling kernel and RRR store come from `params`. The default
+/// [`SelectEngine::Auto`](crate::SelectEngine::Auto) is the cost-model
+/// dispatch: the fused index-driven engine when its O(E) build amortizes
+/// over the greedy passes, the interval-partitioned engine otherwise.
 ///
 /// Given identical `params`, returns the *same seed set* as
-/// [`crate::seq::immopt_sequential`] at any thread count: sample content is
-/// keyed by global sample index and the greedy engines share a
-/// deterministic tie-break.
+/// [`crate::seq::immopt_sequential`] at any thread count and for every
+/// store: sample content is keyed by global sample index and the greedy
+/// engines share a deterministic tie-break. The fused sampler draws a
+/// different RNG schedule, so its output is statistically (not bitwise)
+/// equivalent to the reference kernel's — see the `sampler-equivalence`
+/// oracle check.
 #[must_use]
 pub fn imm_multithreaded(graph: &Graph, params: &ImmParams, threads: usize) -> ImmResult {
-    imm_multithreaded_with_select(graph, params, threads, SelectEngine::Auto)
-}
-
-/// [`imm_multithreaded`] with an explicit selection engine (CLI
-/// `--select`); `Partitioned` recovers the previous default.
-#[must_use]
-pub fn imm_multithreaded_with_select(
-    graph: &Graph,
-    params: &ImmParams,
-    threads: usize,
-    select: SelectEngine,
-) -> ImmResult {
-    imm_multithreaded_with_engines(graph, params, threads, select, SampleEngine::Reference)
-}
-
-/// [`imm_multithreaded`] with explicit selection *and* sampling engines
-/// (CLI `--select` / `--sample`). With [`SampleEngine::Reference`] this is
-/// bitwise [`imm_multithreaded_with_select`]; the fused sampler draws a
-/// different RNG schedule, so its output is statistically (not bitwise)
-/// equivalent — see the `sampler-equivalence` oracle check. Every sampling
-/// kernel's layout stays deterministic across thread counts.
-#[must_use]
-pub fn imm_multithreaded_with_engines(
-    graph: &Graph,
-    params: &ImmParams,
-    threads: usize,
-    select: SelectEngine,
-    sample: SampleEngine,
-) -> ImmResult {
-    let factory = StreamFactory::new(params.seed);
-    let run = || {
-        let effective_threads = rayon::current_num_threads();
-        let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, true);
-        run_imm_compact(
-            "mt",
-            graph,
-            params,
-            |first, count, out| dispatch.sample_batch(first, count, out),
-            |collection, n, k| select_with_engine(select, collection, n, k, effective_threads),
-        )
-    };
-    if threads == 0 {
-        run()
-    } else {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("failed to build rayon pool");
-        pool.install(run)
-    }
-}
-
-/// [`imm_multithreaded_with_engines`] over an explicit RRR storage backend
-/// (CLI `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`imm_multithreaded_with_engines`] code paths; compressed backends fill
-/// through the same arena-merge samplers and select through the
-/// decode-on-touch engines, so the seed set is identical at every thread
-/// count and for every backend.
-#[must_use]
-pub fn imm_multithreaded_with_storage(
-    graph: &Graph,
-    params: &ImmParams,
-    threads: usize,
-    select: SelectEngine,
-    sample: SampleEngine,
-    storage: ripples_diffusion::StorageConfig,
-) -> ImmResult {
-    if storage.kind == ripples_diffusion::RrrStoreKind::Flat {
-        return imm_multithreaded_with_engines(graph, params, threads, select, sample);
-    }
-    let factory = StreamFactory::new(params.seed);
-    let run = || {
-        let effective_threads = rayon::current_num_threads();
-        let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, true);
-        let store = ripples_diffusion::DynRrrStore::new(storage, graph.num_vertices());
-        crate::seq::run_imm_compact_store(
-            "mt",
-            graph,
-            params,
-            store,
-            |first, count, out| dispatch.sample_batch(first, count, out),
-            |collection, n, k| {
-                crate::select::select_with_engine_store(select, collection, n, k, effective_threads)
-            },
-        )
-    };
+    let run = || crate::driver::run_shared("mt", graph, params, true).0;
     if threads == 0 {
         run()
     } else {
@@ -135,6 +51,7 @@ pub fn imm_multithreaded_with_storage(
 mod tests {
     use super::*;
     use crate::seq::immopt_sequential;
+    use crate::SelectEngine;
     use ripples_diffusion::DiffusionModel;
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
@@ -198,7 +115,7 @@ mod tests {
             SelectEngine::Hypergraph,
             SelectEngine::Fused,
         ] {
-            let r = imm_multithreaded_with_select(&g, &p, 2, engine);
+            let r = imm_multithreaded(&g, &p.with_select(engine), 2);
             assert_eq!(r.seeds, default.seeds, "{engine:?}");
             assert_eq!(r.theta, default.theta, "{engine:?}");
         }
@@ -216,14 +133,7 @@ mod tests {
             RrrStoreKind::Spill,
         ] {
             let budget = (kind == RrrStoreKind::Spill).then_some(4096);
-            let r = imm_multithreaded_with_storage(
-                &g,
-                &p,
-                2,
-                SelectEngine::Auto,
-                SampleEngine::Reference,
-                StorageConfig { kind, budget },
-            );
+            let r = imm_multithreaded(&g, &p.with_storage(StorageConfig { kind, budget }), 2);
             assert_eq!(r.seeds, flat.seeds, "{kind:?}");
             assert_eq!(r.theta, flat.theta, "{kind:?}");
             assert!(
@@ -256,7 +166,7 @@ mod tests {
     fn fused_engine_populates_index_stats() {
         let g = test_graph();
         let p = ImmParams::new(5, 0.5, DiffusionModel::IndependentCascade, 7);
-        let r = imm_multithreaded_with_select(&g, &p, 2, SelectEngine::Fused);
+        let r = imm_multithreaded(&g, &p.with_select(SelectEngine::Fused), 2);
         let c = &r.report.counters;
         assert!(c.select_entries_touched > 0, "no touched entries recorded");
         assert!(c.index_bytes_peak > 0, "no index bytes recorded");

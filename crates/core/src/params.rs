@@ -1,6 +1,8 @@
 //! Algorithm parameters.
 
-use ripples_diffusion::DiffusionModel;
+use crate::sample::SampleEngine;
+use crate::select::SelectEngine;
+use ripples_diffusion::{DiffusionModel, StorageConfig};
 
 /// Parameters of one influence-maximization run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -25,6 +27,20 @@ pub struct ImmParams {
     /// the same `k_max`, because the sampled collection is identical.
     /// `None` (the default) preserves the historical behavior exactly.
     pub k_max: Option<u32>,
+    /// Greedy max-cover engine of the shared-memory engines' selection
+    /// passes (CLI `--select`). Default [`SelectEngine::Auto`], the
+    /// cost-model dispatch; every eager engine returns the same seeds. The
+    /// distributed engines aggregate counters collectively and TIM⁺ always
+    /// selects with the fused index, so they ignore it.
+    pub select: SelectEngine,
+    /// RRR sampling kernel of the replicated-graph engines (CLI `--sample`).
+    /// Default [`SampleEngine::Reference`]; the fused kernel draws a
+    /// different RNG schedule, so its seeds are statistically (not bitwise)
+    /// equivalent. The distributed engines always sample per index.
+    pub sample: SampleEngine,
+    /// RRR storage backend (CLI `--rrr-store` / `--rrr-budget`). Default
+    /// flat; every backend returns the same seeds.
+    pub storage: StorageConfig,
 }
 
 impl ImmParams {
@@ -42,6 +58,9 @@ impl ImmParams {
             model,
             seed,
             k_max: None,
+            select: SelectEngine::Auto,
+            sample: SampleEngine::Reference,
+            storage: StorageConfig::default(),
         };
         p.validate();
         p
@@ -65,6 +84,27 @@ impl ImmParams {
     pub fn with_k_max(mut self, k_max: u32) -> Self {
         assert!(k_max > 0, "k_max must be positive");
         self.k_max = Some(k_max);
+        self
+    }
+
+    /// Sets the selection engine. See [`ImmParams::select`].
+    #[must_use]
+    pub fn with_select(mut self, select: SelectEngine) -> Self {
+        self.select = select;
+        self
+    }
+
+    /// Sets the sampling kernel. See [`ImmParams::sample`].
+    #[must_use]
+    pub fn with_sample(mut self, sample: SampleEngine) -> Self {
+        self.sample = sample;
+        self
+    }
+
+    /// Sets the RRR storage backend. See [`ImmParams::storage`].
+    #[must_use]
+    pub fn with_storage(mut self, storage: StorageConfig) -> Self {
+        self.storage = storage;
         self
     }
 
@@ -104,6 +144,9 @@ mod tests {
         let p = ImmParams::new(50, 0.5, DiffusionModel::IndependentCascade, 7);
         assert_eq!(p.ell, 1.0);
         assert_eq!(p.k, 50);
+        assert_eq!(p.select, SelectEngine::Auto);
+        assert_eq!(p.sample, SampleEngine::Reference);
+        assert_eq!(p.storage, StorageConfig::default());
     }
 
     #[test]

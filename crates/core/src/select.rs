@@ -594,30 +594,13 @@ pub fn coverage_of(collection: &RrrCollection, seeds: &[Vertex]) -> usize {
         .count()
 }
 
-/// Cost-model check for the fused engine: building and walking the u32-CSR
-/// index costs O(E) (E = total RRR entries), while the partitioned engine's
-/// per-seed purge scans cost O(k·θ·(log₂s̄+1)) binary-search steps
-/// (s̄ = E/θ, the mean set size). Dividing both by θ, the index pays for
-/// itself when `k·(log₂s̄+1) ≥ 2·s̄`: always for the small sets realistic
-/// cascades produce (s̄ ≲ 50), only at very large `k` for dense synthetic
-/// graphs whose samples span a large fraction of the vertex set.
-#[must_use]
-pub fn fused_is_profitable(collection: &RrrCollection, k: u32) -> bool {
-    let theta = collection.len() as u64;
-    if theta == 0 {
-        return false;
-    }
-    let sbar = (collection.total_entries() as u64 / theta).max(1);
-    u64::from(k) * u64::from(sbar.ilog2() + 1) >= 2 * sbar
-}
-
 /// Which greedy max-cover engine a run uses for its selection passes.
 /// All variants except `Lazy` return identical [`Selection`]s; `Lazy` may
 /// reorder tied seeds but preserves coverage and marginal gains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SelectEngine {
     /// Cost-model dispatch (the default): [`SelectEngine::Fused`] when
-    /// [`fused_is_profitable`], else [`SelectEngine::Partitioned`].
+    /// [`fused_is_profitable_store`], else [`SelectEngine::Partitioned`].
     Auto,
     /// [`select_seeds_sequential`] — the O(k·θ) reference scan.
     Sequential,
@@ -677,7 +660,7 @@ pub fn select_with_engine(
 ) -> (Selection, SelectStats) {
     match engine {
         SelectEngine::Auto => {
-            let resolved = if fused_is_profitable(collection, k) {
+            let resolved = if fused_is_profitable_store(collection, k) {
                 SelectEngine::Fused
             } else {
                 SelectEngine::Partitioned
@@ -709,8 +692,15 @@ pub fn select_with_engine(
     }
 }
 
-/// Cost model of [`fused_is_profitable`] evaluated on any [`RrrStore`]
-/// (the store exposes `len` and `total_entries` without decoding).
+/// Cost-model check for the fused engine: building and walking the u32-CSR
+/// index costs O(E) (E = total RRR entries), while the partitioned engine's
+/// per-seed purge scans cost O(k·θ·(log₂s̄+1)) binary-search steps
+/// (s̄ = E/θ, the mean set size). Dividing both by θ, the index pays for
+/// itself when `k·(log₂s̄+1) ≥ 2·s̄`: always for the small sets realistic
+/// cascades produce (s̄ ≲ 50), only at very large `k` for dense synthetic
+/// graphs whose samples span a large fraction of the vertex set. Evaluated
+/// on any [`RrrStore`] (the store exposes `len` and `total_entries`
+/// without decoding).
 #[must_use]
 pub fn fused_is_profitable_store<S: RrrStore>(store: &S, k: u32) -> bool {
     let theta = store.len() as u64;
@@ -728,13 +718,35 @@ pub fn fused_is_profitable_store<S: RrrStore>(store: &S, k: u32) -> bool {
 /// [`select_seeds_sequential`] with decode-on-touch instead of slices —
 /// the same counters and the same `(count, lowest id)` tie-break, so the
 /// returned [`Selection`] is bitwise identical to the flat reference.
+///
+/// `banned`, when given, marks vertices selected before the first greedy
+/// round, so they are never candidates and never cover a sample. Because
+/// banned vertices also never have their samples purged *through them*
+/// (only a chosen seed covers samples), the greedy trajectory over the
+/// non-banned vertices is exactly the trajectory of a plain selection on
+/// the vertex-filtered sketch (every banned id deleted from every RRR set)
+/// — the `topk_excluding` query primitive of the resident serve mode.
+/// Returned `seeds` never contain a banned vertex, so fewer than `k` seeds
+/// come back when bans exhaust the vertex set.
+///
+/// # Panics
+///
+/// Panics if `banned` is given and `banned.len() != n as usize`.
 #[must_use]
 pub fn select_seeds_store_direct<S: RrrStore>(
     store: &S,
     n: u32,
     k: u32,
+    banned: Option<&[bool]>,
 ) -> (Selection, SelectStats) {
     let n_us = n as usize;
+    let mut selected = match banned {
+        Some(mask) => {
+            assert_eq!(mask.len(), n_us, "banned mask must cover all vertices");
+            mask.to_vec()
+        }
+        None => vec![false; n_us],
+    };
     let k = k.min(n);
     let mut stats = SelectStats::default();
     let mut counters = vec![0u64; n_us];
@@ -744,86 +756,6 @@ pub fn select_seeds_store_direct<S: RrrStore>(
     }
     stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let mut covered = vec![false; store.len()];
-    let mut selected = vec![false; n_us];
-    let mut seeds = Vec::with_capacity(k as usize);
-    let mut gains = Vec::with_capacity(k as usize);
-    let mut covered_count = 0usize;
-    for _ in 0..k {
-        let Some(v) = argmax(&counters, &selected) else {
-            break;
-        };
-        selected[v as usize] = true;
-        if crate::obs::trace::enabled() {
-            crate::obs::trace::mark(
-                crate::obs::trace::TraceName::SelectStep,
-                u64::from(v),
-                counters[v as usize],
-            );
-        }
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectSteps, 1);
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SeedsSelected, 1);
-        }
-        gains.push(counters[v as usize]);
-        seeds.push(v);
-        let t0 = std::time::Instant::now();
-        let mut touched = 0u64;
-        for (j, cov) in covered.iter_mut().enumerate() {
-            if *cov {
-                continue;
-            }
-            if store.contains(j, v) {
-                *cov = true;
-                covered_count += 1;
-                touched += store.sample_len(j) as u64;
-                store.for_each_vertex(j, |u| counters[u as usize] -= 1);
-            }
-        }
-        stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        stats.entries_touched += touched;
-        if crate::obs::metrics::enabled() {
-            crate::obs::metrics::add(crate::obs::metrics::Metric::SelectEntriesTouched, touched);
-        }
-    }
-    (
-        Selection::finish(seeds, gains, covered_count, store.len()),
-        stats,
-    )
-}
-
-/// [`select_seeds_store_direct`] with a pre-banned vertex set: banned
-/// vertices are marked selected before the first greedy round, so they are
-/// never candidates and never cover a sample. Because banned vertices also
-/// never have their samples purged *through them* (only a chosen seed
-/// covers samples), the greedy trajectory over the non-banned vertices is
-/// exactly the trajectory of a plain selection on the vertex-filtered
-/// sketch (every banned id deleted from every RRR set) — the
-/// `topk_excluding` query primitive of the resident serve mode. Returned
-/// `seeds` never contain a banned vertex, so fewer than `k` seeds come
-/// back when bans exhaust the vertex set.
-///
-/// # Panics
-///
-/// Panics if `banned.len() != n as usize`.
-#[must_use]
-pub fn select_seeds_store_banned<S: RrrStore>(
-    store: &S,
-    n: u32,
-    k: u32,
-    banned: &[bool],
-) -> (Selection, SelectStats) {
-    let n_us = n as usize;
-    assert_eq!(banned.len(), n_us, "banned mask must cover all vertices");
-    let k = k.min(n);
-    let mut stats = SelectStats::default();
-    let mut counters = vec![0u64; n_us];
-    let t0 = std::time::Instant::now();
-    for j in 0..store.len() {
-        store.for_each_vertex(j, |v| counters[v as usize] += 1);
-    }
-    stats.decode_nanos += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let mut covered = vec![false; store.len()];
-    let mut selected = banned.to_vec();
     let mut seeds = Vec::with_capacity(k as usize);
     let mut gains = Vec::with_capacity(k as usize);
     let mut covered_count = 0usize;
@@ -993,11 +925,11 @@ pub fn select_with_engine_store<S: RrrStore>(
             if fused_is_profitable_store(store, k) {
                 select_seeds_store_indexed(store, n, k)
             } else {
-                select_seeds_store_direct(store, n, k)
+                select_seeds_store_direct(store, n, k, None)
             }
         }
         SelectEngine::Sequential | SelectEngine::Partitioned | SelectEngine::Lazy => {
-            select_seeds_store_direct(store, n, k)
+            select_seeds_store_direct(store, n, k, None)
         }
     }
 }
@@ -1116,17 +1048,17 @@ mod tests {
     #[test]
     fn cost_model_prefers_fused_for_sparse_sets() {
         // Empty collection: nothing to index, never profitable.
-        assert!(!fused_is_profitable(&RrrCollection::new(), 100));
+        assert!(!fused_is_profitable_store(&RrrCollection::new(), 100));
         // s̄ = 2: k·(log₂2+1) = 2k ≥ 4 already at k = 2.
         let sparse = collection(&[&[0, 1], &[2, 3], &[4, 5]]);
-        assert!(fused_is_profitable(&sparse, 2));
-        assert!(!fused_is_profitable(&sparse, 1));
+        assert!(fused_is_profitable_store(&sparse, 2));
+        assert!(!fused_is_profitable_store(&sparse, 1));
         // s̄ = 1024: needs k·11 ≥ 2048, i.e. k ≥ 187.
         let mut dense = RrrCollection::new();
         let big: Vec<Vertex> = (0..1024).collect();
         dense.push(&big);
-        assert!(!fused_is_profitable(&dense, 100));
-        assert!(fused_is_profitable(&dense, 200));
+        assert!(!fused_is_profitable_store(&dense, 100));
+        assert!(fused_is_profitable_store(&dense, 200));
     }
 
     #[test]
@@ -1286,7 +1218,7 @@ mod tests {
             s.dedup();
             c.push(&s);
         }
-        let (direct, dstats) = select_seeds_store_direct(&c, 40, 5);
+        let (direct, dstats) = select_seeds_store_direct(&c, 40, 5, None);
         let (indexed, istats) = select_seeds_store_indexed(&c, 40, 5);
         assert_eq!(direct, indexed);
         assert_eq!(dstats.index_bytes, 0);
@@ -1314,7 +1246,7 @@ mod tests {
         let mut banned = vec![false; n as usize];
         banned[2] = true;
         banned[5] = true;
-        let (masked, _) = select_seeds_store_banned(&full, n, k, &banned);
+        let (masked, _) = select_seeds_store_direct(&full, n, k, Some(&banned));
         // Reference: delete banned ids from every set, select normally.
         let mut filtered = RrrCollection::new();
         for s in &sets {
@@ -1331,7 +1263,7 @@ mod tests {
     #[test]
     fn banned_everything_returns_no_seeds() {
         let c = collection(&[&[0, 1], &[1, 2]]);
-        let (sel, _) = select_seeds_store_banned(&c, 3, 2, &[true, true, true]);
+        let (sel, _) = select_seeds_store_direct(&c, 3, 2, Some(&[true, true, true]));
         assert!(sel.seeds.is_empty());
         assert_eq!(sel.covered, 0);
     }

@@ -10,348 +10,30 @@
 //! ```
 //!
 //! They differ only in how `R` is stored and how `SelectSeeds` walks it —
-//! which is exactly the delta Table 2 measures.
+//! which is exactly the delta Table 2 measures. IMMOPT runs the driver
+//! every sampling-based engine shares ([`crate::driver`]); the baseline
+//! keeps Tang's own two-direction layout and loop.
 
+use crate::driver::degenerate_result;
 use crate::memory::MemoryStats;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::{select_with_engine, SelectEngine, SelectStats, Selection};
+use crate::select::Selection;
 use crate::theta::ThetaSchedule;
 use ripples_diffusion::rrr::{generate_rrr, RrrScratch};
-use ripples_diffusion::{BatchOutcome, RrrCollection, RrrStore};
 use ripples_graph::{Graph, Vertex};
 use ripples_rng::StreamFactory;
 
-/// Trivial result for graphs too small for the estimation math (`n < 2`).
-fn degenerate_result(engine: &str, graph: &Graph, params: &ImmParams) -> ImmResult {
-    let n = graph.num_vertices();
-    let k = params.effective_k(n);
-    let report = RunReport::new(engine);
-    ImmResult {
-        seeds: (0..k).collect(),
-        theta: 0,
-        coverage_fraction: if n > 0 { 1.0 } else { 0.0 },
-        opt_lower_bound: None,
-        timers: report.phase_timers(),
-        memory: MemoryStats {
-            graph_bytes: graph.resident_bytes(),
-            ..MemoryStats::default()
-        },
-        sample_work: Vec::new(),
-        report,
-    }
-}
-
-/// Records one sampling batch's outcome into `report`: sample/edge counters,
-/// per-worker load-balance observations, and the sizes of the samples
-/// appended to `collection` since `old_len`.
-pub(crate) fn record_batch<S: RrrStore>(
-    report: &mut RunReport,
-    collection: &S,
-    old_len: usize,
-    outcome: &BatchOutcome,
-) {
-    report.counters.samples_generated += (collection.len() - old_len) as u64;
-    report.counters.edges_examined += outcome.total_work();
-    for &w in &outcome.per_worker_samples {
-        report.thread_samples.record(w);
-    }
-    for j in old_len..collection.len() {
-        report.rrr_sizes.record(collection.sample_len(j) as u64);
-    }
-    report.counters.arena_bytes_peak = report
-        .counters
-        .arena_bytes_peak
-        .max(outcome.arena_bytes as u64);
-    report.counters.fused_passes += outcome.fused_passes;
-    report.counters.mask_bytes_peak = report
-        .counters
-        .mask_bytes_peak
-        .max(outcome.mask_bytes as u64);
-    for (lanes, &times) in outcome.lane_width_counts.iter().enumerate() {
-        report.lanes_active.record_n(lanes as u64, times);
-    }
-    // The trace stream mirrors the *running peak*, not the last batch's
-    // reservation, so a trace reader sees the same high-water mark the
-    // counters report.
-    if crate::obs::trace::enabled() {
-        crate::obs::trace::counter(
-            crate::obs::trace::TraceName::ArenaBytes,
-            report.counters.arena_bytes_peak,
-        );
-        if report.counters.mask_bytes_peak > 0 {
-            crate::obs::trace::counter(
-                crate::obs::trace::TraceName::MaskBytes,
-                report.counters.mask_bytes_peak,
-            );
-        }
-    }
-}
-
-/// Shared Algorithm 1 skeleton over the compact one-direction storage.
-///
-/// `sampler(first_index, count, &mut R)` appends samples with global indices
-/// `first_index..first_index+count`; `selector(&R, n, k)` runs a greedy
-/// max-cover pass and reports the pass's [`SelectStats`] (index-free engines
-/// return the zero default). The sequential and multithreaded entry points
-/// supply different engines for the two hooks.
-pub(crate) fn run_imm_compact(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    sampler: impl FnMut(u64, usize, &mut RrrCollection) -> BatchOutcome,
-    selector: impl FnMut(&RrrCollection, u32, u32) -> (Selection, SelectStats),
-) -> ImmResult {
-    run_imm_compact_store(
-        engine,
-        graph,
-        params,
-        RrrCollection::new(),
-        sampler,
-        selector,
-    )
-}
-
-/// [`run_imm_compact`] generalized over the RRR storage backend: the caller
-/// supplies the (empty) store, and the sampler/selector hooks operate on it
-/// through the [`RrrStore`] trait. The flat store takes exactly the old
-/// code paths; compressed stores additionally report their decode time and
-/// spill traffic through the run counters.
-pub(crate) fn run_imm_compact_store<S: RrrStore>(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    store: S,
-    sampler: impl FnMut(u64, usize, &mut S) -> BatchOutcome,
-    selector: impl FnMut(&S, u32, u32) -> (Selection, SelectStats),
-) -> ImmResult {
-    run_imm_compact_store_keep(engine, graph, params, store, sampler, selector).0
-}
-
-/// [`run_imm_compact_store`] that hands the *filled, sealed* store back to
-/// the caller instead of dropping it — the entry point of the resident
-/// serve mode, which keeps the sketch alive to answer further top-k
-/// queries. θ sizing uses [`ImmParams::sizing_k`] (`= effective_k` unless
-/// `k_max` is set), so a sketch built here at `k_max` is the same
-/// collection a fresh batch run with the same `k_max` would sample.
-pub(crate) fn run_imm_compact_store_keep<S: RrrStore>(
-    engine: &str,
-    graph: &Graph,
-    params: &ImmParams,
-    store: S,
-    mut sampler: impl FnMut(u64, usize, &mut S) -> BatchOutcome,
-    mut selector: impl FnMut(&S, u32, u32) -> (Selection, SelectStats),
-) -> (ImmResult, S) {
-    let n = graph.num_vertices();
-    if n < 2 {
-        return (degenerate_result(engine, graph, params), store);
-    }
-    let k = params.effective_k(n);
-    // The θ schedule and the estimation-round selections size the sketch;
-    // only the final selection returns `k` seeds. `sizing_k == k` unless
-    // the caller set `k_max` (serve mode).
-    let sizing_k = params.sizing_k(n);
-    let schedule = ThetaSchedule::new(
-        u64::from(n),
-        u64::from(sizing_k),
-        params.epsilon,
-        params.ell,
-    );
-
-    let mut report = RunReport::new(engine);
-    let mut memory = MemoryStats {
-        counter_bytes: n as usize * std::mem::size_of::<u64>(),
-        graph_bytes: graph.resident_bytes(),
-        ..MemoryStats::default()
-    };
-    let mut collection = store;
-    let mut sample_work: Vec<u64> = Vec::new();
-    let mut next_index: u64 = 0;
-    let mut select_stats = SelectStats::default();
-
-    // --- EstimateTheta (Algorithm 2) -----------------------------------
-    let mut lb: Option<f64> = None;
-    {
-        let collection = &mut collection;
-        let sample_work = &mut sample_work;
-        let next_index = &mut next_index;
-        let memory = &mut memory;
-        let lb = &mut lb;
-        let select_stats = &mut select_stats;
-        report.span("EstimateTheta", |report| {
-            for x in 1..=schedule.max_rounds() {
-                let budget = schedule.round_budget(x);
-                if crate::obs::metrics::enabled() {
-                    crate::obs::metrics::set(
-                        crate::obs::metrics::Metric::ThetaTarget,
-                        budget as u64,
-                    );
-                }
-                let stop = report.span(&format!("round-{x}"), |report| {
-                    if budget > collection.len() {
-                        let need = budget - collection.len();
-                        let old_len = collection.len();
-                        let outcome =
-                            report.span("sample", |_| sampler(*next_index, need, collection));
-                        *next_index += need as u64;
-                        sample_work.extend_from_slice(&outcome.work_per_sample);
-                        record_batch(report, collection, old_len, &outcome);
-                    }
-                    memory.observe_rrr(collection.resident_bytes());
-                    let (sel, sstats) =
-                        report.span("select", |_| selector(collection, n, sizing_k));
-                    select_stats.absorb(sstats);
-                    report.counters.theta_rounds += 1;
-                    report.counters.select_iterations += sel.seeds.len() as u64;
-                    report.counters.round_budgets.push(budget as u64);
-                    report.counters.round_coverage.push(sel.fraction);
-                    if schedule.round_succeeds(x, sel.fraction) {
-                        *lb = Some(schedule.lower_bound(sel.fraction));
-                        true
-                    } else {
-                        false
-                    }
-                });
-                if stop {
-                    break;
-                }
-            }
-        });
-    }
-    let theta = match lb {
-        Some(bound) => schedule.final_theta(bound),
-        None => schedule.fallback_theta(u64::from(sizing_k)),
-    };
-    if crate::obs::metrics::enabled() {
-        crate::obs::metrics::set(crate::obs::metrics::Metric::ThetaTarget, theta as u64);
-    }
-
-    // --- Sample top-up (Algorithm 3 from the skeleton) ------------------
-    if theta > collection.len() {
-        let need = theta - collection.len();
-        let old_len = collection.len();
-        let collection_ref = &mut collection;
-        let next = next_index;
-        let outcome = report.span("Sample", |_| sampler(next, need, collection_ref));
-        sample_work.extend_from_slice(&outcome.work_per_sample);
-        record_batch(&mut report, &collection, old_len, &outcome);
-    }
-    memory.observe_rrr(collection.resident_bytes());
-
-    // --- SelectSeeds (Algorithm 4) ---------------------------------------
-    let (final_sel, final_stats) = report.span("SelectSeeds", |_| selector(&collection, n, k));
-    select_stats.absorb(final_stats);
-    report.counters.select_iterations += final_sel.seeds.len() as u64;
-
-    memory.observe_index(select_stats.index_bytes);
-    report.counters.rrr_entries = collection.total_entries();
-    report.counters.rrr_bytes_peak = memory.peak_rrr_bytes as u64;
-    report.counters.theta_final = collection.len() as u64;
-    report.counters.unsorted_pushes = collection.unsorted_pushes();
-    report.counters.select_entries_touched = select_stats.entries_touched;
-    report.counters.index_build_nanos = select_stats.index_build_nanos;
-    report.counters.index_bytes_peak = select_stats.index_bytes as u64;
-    report.counters.decode_nanos = select_stats.decode_nanos;
-    report.counters.spill_bytes_written = collection.spill_bytes_written();
-    if crate::obs::trace::enabled() {
-        report.trace = Some(crate::obs::trace::collect_all());
-    }
-    let result = ImmResult {
-        seeds: final_sel.seeds,
-        theta: collection.len(),
-        coverage_fraction: final_sel.fraction,
-        opt_lower_bound: lb,
-        timers: report.phase_timers(),
-        memory,
-        sample_work,
-        report,
-    };
-    (result, collection)
-}
-
-/// Seed-set sizes from which [`immopt_sequential`] hands selection to the
-/// cost-model dispatch ([`SelectEngine::Auto`]): with `k` this large, an
-/// index-driven engine can repay its build cost, because each greedy round
-/// after the first touches far fewer than θ samples. Below it, the single
-/// sequential scan is already near-optimal and allocates nothing.
-const SEQ_FUSED_K_THRESHOLD: u32 = 16;
-
 /// The paper's optimized serial implementation (IMMOPT): compact sorted
-/// one-direction storage + sequential Algorithm 4, auto-switching to the
-/// cost-model selection dispatch for large `k` (see
-/// [`SEQ_FUSED_K_THRESHOLD`]). The seed set is identical either way.
+/// one-direction storage, the strictly sequential sampler, and single-
+/// interval selection. The selection engine, sampling kernel and RRR store
+/// come from `params` ([`ImmParams::select`], [`ImmParams::sample`],
+/// [`ImmParams::storage`]); every eager selection engine and every store
+/// return the same seed set.
 #[must_use]
 pub fn immopt_sequential(graph: &Graph, params: &ImmParams) -> ImmResult {
-    let engine = if params.effective_k(graph.num_vertices()) >= SEQ_FUSED_K_THRESHOLD {
-        SelectEngine::Auto
-    } else {
-        SelectEngine::Sequential
-    };
-    immopt_sequential_with_select(graph, params, engine)
-}
-
-/// [`immopt_sequential`] with an explicit selection engine (CLI `--select`).
-#[must_use]
-pub fn immopt_sequential_with_select(
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-) -> ImmResult {
-    immopt_sequential_with_engines(graph, params, select, SampleEngine::Reference)
-}
-
-/// [`immopt_sequential`] with explicit selection *and* sampling engines
-/// (CLI `--select` / `--sample`). With [`SampleEngine::Reference`] this is
-/// bitwise [`immopt_sequential_with_select`]; the fused sampler draws a
-/// different RNG schedule, so its seed sets are statistically (not bitwise)
-/// equivalent — see the `sampler-equivalence` oracle check.
-#[must_use]
-pub fn immopt_sequential_with_engines(
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-    sample: SampleEngine,
-) -> ImmResult {
-    let factory = StreamFactory::new(params.seed);
-    let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, false);
-    run_imm_compact(
-        "immopt",
-        graph,
-        params,
-        |first, count, out| dispatch.sample_batch(first, count, out),
-        |collection, n, k| select_with_engine(select, collection, n, k, 1),
-    )
-}
-
-/// [`immopt_sequential_with_engines`] over an explicit RRR storage backend
-/// (CLI `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`immopt_sequential_with_engines`] code paths; compressed backends fill
-/// through the same samplers and select through the decode-on-touch
-/// engines, returning the same seeds for the same parameters.
-#[must_use]
-pub fn immopt_sequential_with_storage(
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-    sample: SampleEngine,
-    storage: ripples_diffusion::StorageConfig,
-) -> ImmResult {
-    if storage.kind == ripples_diffusion::RrrStoreKind::Flat {
-        return immopt_sequential_with_engines(graph, params, select, sample);
-    }
-    let factory = StreamFactory::new(params.seed);
-    let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, false);
-    let store = ripples_diffusion::DynRrrStore::new(storage, graph.num_vertices());
-    run_imm_compact_store(
-        "immopt",
-        graph,
-        params,
-        store,
-        |first, count, out| dispatch.sample_batch(first, count, out),
-        |collection, n, k| crate::select::select_with_engine_store(select, collection, n, k, 1),
-    )
+    crate::driver::run_shared("immopt", graph, params, false).0
 }
 
 // ---------------------------------------------------------------------------
@@ -641,7 +323,8 @@ pub fn imm_baseline_with_options(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ripples_diffusion::DiffusionModel;
+    use crate::driver::record_batch;
+    use ripples_diffusion::{BatchOutcome, DiffusionModel, RrrCollection};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 

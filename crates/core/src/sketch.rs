@@ -18,11 +18,8 @@
 
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
-use crate::select::SelectEngine;
-use ripples_diffusion::{DynRrrStore, RrrStore, StorageConfig};
+use ripples_diffusion::{DynRrrStore, RrrStore};
 use ripples_graph::{Graph, Vertex};
-use ripples_rng::StreamFactory;
 
 /// A freshly built resident sketch: the sealed store plus the build run's
 /// full [`ImmResult`] (θ, seeds at the build `k`, report, memory).
@@ -37,28 +34,12 @@ pub struct ResidentSketchBuild {
 /// Runs IMM's estimation + sampling phases and returns the sealed store
 /// alongside the run result, instead of dropping the collection the way the
 /// batch entry points do. Semantically
-/// [`immopt_sequential_with_storage`](crate::seq::immopt_sequential_with_storage)
-/// with the store kept alive: same samples, same θ, same final selection,
-/// for every `--select`/`--sample`/`--rrr-store` backend.
+/// [`immopt_sequential`](crate::seq::immopt_sequential) with the store kept
+/// alive: same samples, same θ, same final selection, for every
+/// [`ImmParams::select`] / [`ImmParams::sample`] / [`ImmParams::storage`].
 #[must_use]
-pub fn build_resident_sketch(
-    graph: &Graph,
-    params: &ImmParams,
-    select: SelectEngine,
-    sample: SampleEngine,
-    storage: StorageConfig,
-) -> ResidentSketchBuild {
-    let factory = StreamFactory::new(params.seed);
-    let mut dispatch = SamplerDispatch::new(graph, params.model, &factory, sample, false);
-    let store = DynRrrStore::new(storage, graph.num_vertices());
-    let (result, store) = crate::seq::run_imm_compact_store_keep(
-        "sketch",
-        graph,
-        params,
-        store,
-        |first, count, out| dispatch.sample_batch(first, count, out),
-        |collection, n, k| crate::select::select_with_engine_store(select, collection, n, k, 1),
-    );
+pub fn build_resident_sketch(graph: &Graph, params: &ImmParams) -> ResidentSketchBuild {
+    let (result, store) = crate::driver::run_shared("sketch", graph, params, false);
     ResidentSketchBuild { store, result }
 }
 
@@ -81,8 +62,9 @@ pub fn coverage_of_store<S: RrrStore>(store: &S, seeds: &[Vertex]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::immopt_sequential_with_storage;
-    use ripples_diffusion::{DiffusionModel, RrrStoreKind};
+    use crate::seq::immopt_sequential;
+    use crate::SelectEngine;
+    use ripples_diffusion::{DiffusionModel, RrrStoreKind, StorageConfig};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -93,23 +75,13 @@ mod tests {
     #[test]
     fn build_matches_batch_run_and_keeps_theta_samples() {
         let g = test_graph();
-        let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 5).with_k_max(16);
-        let storage = StorageConfig::of(RrrStoreKind::Flat);
-        let built = build_resident_sketch(
-            &g,
-            &p,
-            SelectEngine::Sequential,
-            SampleEngine::Reference,
-            storage,
-        );
+        let p = ImmParams::new(4, 0.5, DiffusionModel::IndependentCascade, 5)
+            .with_k_max(16)
+            .with_select(SelectEngine::Sequential)
+            .with_storage(StorageConfig::of(RrrStoreKind::Flat));
+        let built = build_resident_sketch(&g, &p);
         assert_eq!(built.store.len(), built.result.theta);
-        let batch = immopt_sequential_with_storage(
-            &g,
-            &p,
-            SelectEngine::Sequential,
-            SampleEngine::Reference,
-            storage,
-        );
+        let batch = immopt_sequential(&g, &p);
         assert_eq!(built.result.seeds, batch.seeds);
         assert_eq!(built.result.theta, batch.theta);
     }

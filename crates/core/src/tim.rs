@@ -21,14 +21,15 @@
 //!    `λ = (8 + 2ε)·n·(ℓ·ln n + ln C(n,k) + ln 2)/ε²`, then run the
 //!    standard greedy max-cover.
 
+use crate::driver::{degenerate_result, record_batch};
 use crate::memory::MemoryStats;
 use crate::obs::RunReport;
 use crate::params::ImmParams;
 use crate::result::ImmResult;
-use crate::sample::{SampleEngine, SamplerDispatch};
+use crate::sample::SamplerDispatch;
 use crate::select::{select_with_engine_store, SelectEngine};
 use crate::theta::log_binomial;
-use ripples_diffusion::{DynRrrStore, RrrCollection, RrrStore, RrrStoreKind, StorageConfig};
+use ripples_diffusion::{DynRrrStore, RrrStore};
 use ripples_graph::Graph;
 use ripples_rng::StreamFactory;
 
@@ -44,52 +45,19 @@ fn width<S: RrrStore>(graph: &Graph, store: &S, i: usize) -> u64 {
 
 /// Runs TIM⁺. Parameter semantics match [`crate::ImmParams`]; the returned
 /// [`ImmResult`] is directly comparable with the IMM engines' output.
+///
+/// The sampling kernel and RRR store come from [`ImmParams::sample`] and
+/// [`ImmParams::storage`]. Every store returns the same seeds and θ
+/// (widths and greedy cover stream through decode-on-touch); the fused
+/// sampler draws a different RNG schedule, so its output is statistically
+/// (not bitwise) equivalent. Selection is fixed — sequential for the
+/// refinement pass, fused for the final one — so [`ImmParams::select`] is
+/// ignored.
 #[must_use]
 pub fn tim_plus(graph: &Graph, params: &ImmParams) -> ImmResult {
-    tim_plus_with_sample(graph, params, SampleEngine::Reference)
-}
-
-/// [`tim_plus`] with an explicit sampling engine (CLI `--sample`). With
-/// [`SampleEngine::Reference`] this is bitwise [`tim_plus`]; the fused
-/// sampler draws a different RNG schedule, so its output is statistically
-/// (not bitwise) equivalent.
-#[must_use]
-pub fn tim_plus_with_sample(graph: &Graph, params: &ImmParams, sample: SampleEngine) -> ImmResult {
-    tim_plus_impl(graph, params, sample, RrrCollection::new())
-}
-
-/// [`tim_plus_with_sample`] over an explicit RRR storage backend (CLI
-/// `--rrr-store` / `--rrr-budget`). The flat backend takes exactly the
-/// [`tim_plus_with_sample`] code paths; compressed backends stream widths
-/// and greedy cover through decode-on-touch, so the seed set and θ are
-/// identical for every backend.
-#[must_use]
-pub fn tim_plus_with_storage(
-    graph: &Graph,
-    params: &ImmParams,
-    sample: SampleEngine,
-    storage: StorageConfig,
-) -> ImmResult {
-    if storage.kind == RrrStoreKind::Flat {
-        return tim_plus_with_sample(graph, params, sample);
-    }
-    tim_plus_impl(
-        graph,
-        params,
-        sample,
-        DynRrrStore::new(storage, graph.num_vertices()),
-    )
-}
-
-fn tim_plus_impl<S: RrrStore>(
-    graph: &Graph,
-    params: &ImmParams,
-    sample: SampleEngine,
-    store: S,
-) -> ImmResult {
     let n = graph.num_vertices();
     if n < 2 {
-        return crate::seq::immopt_sequential(graph, params);
+        return degenerate_result("tim", graph, params);
     }
     let k = params.effective_k(n);
     let m = graph.num_edges().max(1) as f64;
@@ -99,7 +67,7 @@ fn tim_plus_impl<S: RrrStore>(
     let ell = params.ell * (1.0 + std::f64::consts::LN_2 / ln_n);
     let epsilon = params.epsilon;
     let factory = StreamFactory::new(params.seed);
-    let mut sampler = SamplerDispatch::new(graph, params.model, &factory, sample, false);
+    let mut sampler = SamplerDispatch::new(graph, params.model, &factory, params.sample, false);
 
     let mut report = RunReport::new("tim");
     let mut memory = MemoryStats {
@@ -107,7 +75,7 @@ fn tim_plus_impl<S: RrrStore>(
         graph_bytes: graph.resident_bytes(),
         ..MemoryStats::default()
     };
-    let mut collection = store;
+    let mut collection = DynRrrStore::new(params.storage, n);
     let mut sample_work: Vec<u64> = Vec::new();
     let mut next_index: u64 = 0;
 
@@ -134,7 +102,7 @@ fn tim_plus_impl<S: RrrStore>(
                         });
                         *next_index += need as u64;
                         sample_work.extend_from_slice(&outcome.work_per_sample);
-                        crate::seq::record_batch(report, collection, old_len, &outcome);
+                        record_batch(report, collection, old_len, &outcome);
                     }
                     report.counters.theta_rounds += 1;
                     report.counters.round_budgets.push(budget as u64);
@@ -189,7 +157,7 @@ fn tim_plus_impl<S: RrrStore>(
             sampler.sample_batch(next_index, need, collection_ref)
         });
         sample_work.extend_from_slice(&outcome.work_per_sample);
-        crate::seq::record_batch(&mut report, &collection, old_len, &outcome);
+        record_batch(&mut report, &collection, old_len, &outcome);
     }
     memory.observe_rrr(collection.resident_bytes());
 
@@ -229,7 +197,7 @@ fn tim_plus_impl<S: RrrStore>(
 mod tests {
     use super::*;
     use crate::seq::immopt_sequential;
-    use ripples_diffusion::{estimate_spread, DiffusionModel};
+    use ripples_diffusion::{estimate_spread, DiffusionModel, RrrStoreKind, StorageConfig};
     use ripples_graph::generators::erdos_renyi;
     use ripples_graph::WeightModel;
 
@@ -309,12 +277,7 @@ mod tests {
             RrrStoreKind::Spill,
         ] {
             let budget = (kind == RrrStoreKind::Spill).then_some(4096);
-            let r = tim_plus_with_storage(
-                &g,
-                &p,
-                SampleEngine::Reference,
-                StorageConfig { kind, budget },
-            );
+            let r = tim_plus(&g, &p.with_storage(StorageConfig { kind, budget }));
             assert_eq!(r.seeds, flat.seeds, "{kind:?}");
             assert_eq!(r.theta, flat.theta, "{kind:?}");
             assert!(
@@ -330,6 +293,8 @@ mod tests {
     fn degenerate_graph() {
         let g = ripples_graph::GraphBuilder::new(1).build().unwrap();
         let p = ImmParams::new(3, 0.5, DiffusionModel::IndependentCascade, 1);
-        assert_eq!(tim_plus(&g, &p).seeds, vec![0]);
+        let r = tim_plus(&g, &p);
+        assert_eq!(r.seeds, vec![0]);
+        assert_eq!(r.report.engine, "tim");
     }
 }

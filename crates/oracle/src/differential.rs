@@ -24,13 +24,11 @@ use crate::reference::greedy_with_tie_order;
 use crate::report::{CheckKind, OracleReport};
 use ripples_centrality::rank_biased_overlap;
 use ripples_comm::{SelfComm, ThreadWorld};
-use ripples_core::dist::{
-    imm_distributed, imm_distributed_with_storage, DistRngMode, DistSelectMode,
-};
+use ripples_core::dist::imm_distributed;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
 use ripples_core::select::{select_with_engine, Selection};
-use ripples_core::seq::{imm_baseline, immopt_sequential, immopt_sequential_with_storage};
+use ripples_core::seq::{imm_baseline, immopt_sequential};
 use ripples_core::{
     coverage_of, select_with_engine_store, ImmParams, ImmResult, SampleEngine, SelectEngine,
 };
@@ -222,16 +220,11 @@ pub(crate) fn check_storage_equivalence(
     let kind = CheckKind::StorageEquivalence;
     for store_kind in COMPRESSED_STORES {
         let storage = storage_of(store_kind);
+        let stored = params.with_storage(storage);
         let tag = store_kind.tag();
 
         // Full sequential pipeline.
-        let r = immopt_sequential_with_storage(
-            graph,
-            params,
-            SelectEngine::Auto,
-            SampleEngine::Reference,
-            storage,
-        );
+        let r = immopt_sequential(graph, &stored);
         let subject = format!("opt({tag})");
         report.check(kind, &subject, r.seeds == reference.seeds, || {
             format!("seed sets differ: {:?} vs {:?}", r.seeds, reference.seeds)
@@ -261,16 +254,7 @@ pub(crate) fn check_storage_equivalence(
 
         // One distributed run per backend: the decrement aggregation path.
         if let Some(&world) = cfg.world_sizes.first() {
-            let results = ThreadWorld::new(world).run(|comm| {
-                imm_distributed_with_storage(
-                    comm,
-                    graph,
-                    params,
-                    DistRngMode::IndexedStreams,
-                    DistSelectMode::DenseAllReduce,
-                    storage,
-                )
-            });
+            let results = ThreadWorld::new(world).run(|comm| imm_distributed(comm, graph, &stored));
             for (rank, r) in results.iter().enumerate() {
                 let subject = format!("dist({tag},world={world},rank={rank})");
                 report.check(
@@ -353,13 +337,7 @@ pub(crate) fn check_query_equivalence(
         p.k = k_q;
 
         // Fresh sequential batch run at the same master seed and k_max.
-        let seq = immopt_sequential_with_storage(
-            graph,
-            &p,
-            SelectEngine::Sequential,
-            SampleEngine::Reference,
-            StorageConfig::default(),
-        );
+        let seq = immopt_sequential(graph, &p.with_select(SelectEngine::Sequential));
         let subject = format!("seq(k={k_q})");
         report.check(kind, &subject, served == seq.seeds, || {
             format!("served {served:?} vs batch {:?}", seq.seeds)

@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use ripples_core::obs::Histogram;
 use ripples_core::{
-    build_resident_sketch, coverage_of_store, select_seeds_store_banned, select_with_engine_store,
+    build_resident_sketch, coverage_of_store, select_seeds_store_direct, select_with_engine_store,
     ImmParams, ImmResult, SampleEngine, SelectEngine,
 };
 use ripples_diffusion::{DynRrrStore, RrrStore, RrrStoreKind, StorageConfig};
@@ -109,7 +109,11 @@ impl SketchService {
         storage: StorageConfig,
     ) -> Self {
         let start = Instant::now();
-        let built = build_resident_sketch(graph, &params, select, sample, storage);
+        let engines = params
+            .with_select(select)
+            .with_sample(sample)
+            .with_storage(storage);
+        let built = build_resident_sketch(graph, &engines);
         let build_wall_s = start.elapsed().as_secs_f64();
         let theta = built.store.len();
         let svc = Self {
@@ -328,7 +332,7 @@ impl SketchService {
         }
         ripples_trace::mark(TraceName::QueryBegin, u64::from(k), 0);
         let start = Instant::now();
-        let (selection, stats) = select_seeds_store_banned(&self.store, self.n, k, &banned);
+        let (selection, stats) = select_seeds_store_direct(&self.store, self.n, k, Some(&banned));
         let wall_nanos = self.finish_query(start, k, stats.entries_touched);
         Ok((
             selection.seeds,

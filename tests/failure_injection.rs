@@ -1,12 +1,15 @@
 //! Failure injection and degenerate inputs across the public API surface.
 
 use ripples_comm::{CommError, Communicator, FaultComm, FaultPlan, SelfComm, ThreadWorld};
+use ripples_core::dist::imm_distributed;
+use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
 use ripples_core::seq::immopt_sequential;
-use ripples_core::ImmParams;
+use ripples_core::tim::tim_plus;
+use ripples_core::{ImmParams, ImmResult};
 use ripples_diffusion::{estimate_spread, DiffusionModel};
 use ripples_graph::io::{read_binary, read_edge_list, EdgeListOptions};
-use ripples_graph::{GraphBuilder, GraphError, WeightModel};
+use ripples_graph::{Graph, GraphBuilder, GraphError, WeightModel};
 use ripples_rng::StreamFactory;
 
 #[test]
@@ -37,18 +40,45 @@ fn corrupt_binary_is_rejected() {
 
 #[test]
 fn imm_on_empty_and_tiny_graphs() {
+    // Every engine, at every world size, answers degenerate graphs itself:
+    // the right seeds under its own engine name.
+    fn all_engines(g: &Graph, p: &ImmParams) -> Vec<(&'static str, ImmResult)> {
+        let mut runs = vec![
+            ("immopt", immopt_sequential(g, p)),
+            ("mt", imm_multithreaded(g, p, 2)),
+            ("tim", tim_plus(g, p)),
+        ];
+        for size in [1u32, 2] {
+            let world = ThreadWorld::new(size);
+            for r in world.run(|comm| imm_distributed(comm, g, p)) {
+                runs.push(("dist", r));
+            }
+            for r in world.run(|comm| imm_sharded(comm, g, p)) {
+                runs.push(("sharded", r));
+            }
+        }
+        runs
+    }
     let p = ImmParams::new(3, 0.5, DiffusionModel::IndependentCascade, 1);
     let empty = GraphBuilder::new(0).build().unwrap();
-    assert!(immopt_sequential(&empty, &p).seeds.is_empty());
+    for (engine, r) in all_engines(&empty, &p) {
+        assert!(r.seeds.is_empty(), "{engine} on the empty graph");
+        assert_eq!(r.report.engine, engine);
+    }
 
     let one = GraphBuilder::new(1).build().unwrap();
-    assert_eq!(immopt_sequential(&one, &p).seeds, vec![0]);
+    for (engine, r) in all_engines(&one, &p) {
+        assert_eq!(r.seeds, vec![0], "{engine} on one vertex");
+        assert_eq!(r.report.engine, engine);
+    }
 
     let mut b = GraphBuilder::new(2);
     b.add_edge(0, 1, 0.5).unwrap();
     let two = b.build().unwrap();
-    let r = immopt_sequential(&two, &p);
-    assert_eq!(r.seeds.len(), 2);
+    for (engine, r) in all_engines(&two, &p) {
+        assert_eq!(r.seeds.len(), 2, "{engine} on two vertices");
+        assert_eq!(r.report.engine, engine);
+    }
 }
 
 #[test]

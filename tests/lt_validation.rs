@@ -71,12 +71,10 @@ fn unnormalized_lt_rejected_in_every_profile() {
         let _ = ripples_core::dist_sharded::imm_sharded(&comm, &g, &p);
     });
     assert_rejected("immopt --sample fused", || {
-        let _ = ripples_core::seq::immopt_sequential_with_engines(
-            &g,
-            &p,
-            SelectEngine::Sequential,
-            SampleEngine::Fused,
-        );
+        let fused = p
+            .with_select(SelectEngine::Sequential)
+            .with_sample(SampleEngine::Fused);
+        let _ = ripples_core::seq::immopt_sequential(&g, &fused);
     });
 }
 

@@ -174,7 +174,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use ripples_core::select::{select_seeds_sequential, select_with_engine};
-use ripples_core::{fused_is_profitable, SelectEngine};
+use ripples_core::{fused_is_profitable_store, SelectEngine};
 use ripples_diffusion::RrrCollection;
 
 const EAGER_ENGINES: [SelectEngine; 5] = [
@@ -214,7 +214,7 @@ proptest! {
         partitions in 1usize..5,
     ) {
         // The cost model is total: any collection, any k, no panic.
-        let _ = fused_is_profitable(&collection, k);
+        let _ = fused_is_profitable_store(&collection, k);
         let reference = select_seeds_sequential(&collection, n, k);
         prop_assert!(reference.seeds.len() as u32 <= n.min(k));
         for engine in EAGER_ENGINES {
@@ -235,7 +235,7 @@ proptest! {
 #[test]
 fn theta_zero_collection_selects_zero_gain_seeds() {
     let empty = RrrCollection::new();
-    assert!(!fused_is_profitable(&empty, 3));
+    assert!(!fused_is_profitable_store(&empty, 3));
     for engine in EAGER_ENGINES {
         let (sel, _) = select_with_engine(engine, &empty, 5, 3, 2);
         assert_eq!(sel.seeds, vec![0, 1, 2], "{}", engine.tag());
@@ -251,7 +251,7 @@ fn all_empty_rrr_sets_cover_nothing() {
     for _ in 0..6 {
         c.push(&[]);
     }
-    let _ = fused_is_profitable(&c, 4);
+    let _ = fused_is_profitable_store(&c, 4);
     let reference = select_seeds_sequential(&c, 4, 2);
     assert_eq!(reference.covered, 0);
     assert_eq!(reference.fraction, 0.0);

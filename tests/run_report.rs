@@ -11,7 +11,7 @@ use ripples_core::dist::imm_distributed;
 use ripples_core::dist_sharded::imm_sharded;
 use ripples_core::mt::imm_multithreaded;
 use ripples_core::seq::immopt_sequential;
-use ripples_core::{ImmParams, ImmResult, RunReport};
+use ripples_core::{build_resident_sketch, ImmParams, ImmResult, RunReport};
 use ripples_diffusion::DiffusionModel;
 use ripples_graph::generators::erdos_renyi;
 use ripples_graph::{Graph, WeightModel};
@@ -178,4 +178,54 @@ fn report_exports_render() {
     let pretty = r.report.render_pretty();
     assert!(pretty.contains("EstimateTheta"));
     assert!(pretty.contains("samples"));
+}
+
+/// The span names every driver-backed engine emits: `perfbench` sums the
+/// sampling and selection walls by these names (`sample`/`Sample`,
+/// `select`/`SelectSeeds`), so a renamed or re-nested span would silently
+/// zero its per-layer figures.
+fn assert_driver_spans(report: &RunReport, label: &str) {
+    let spans = report.spans();
+    let top: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    let estimate = spans
+        .iter()
+        .find(|s| s.name == "EstimateTheta")
+        .unwrap_or_else(|| panic!("{label}: no EstimateTheta span in {top:?}"));
+    let round = estimate
+        .children
+        .first()
+        .unwrap_or_else(|| panic!("{label}: EstimateTheta has no rounds"));
+    assert_eq!(round.name, "round-1", "{label}");
+    let inner: Vec<&str> = round.children.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(inner, ["sample", "select"], "{label}: round-1 children");
+    assert_eq!(
+        estimate.children.len() as u64,
+        report.counters.theta_rounds,
+        "{label}: one span per round"
+    );
+    let last_budget = *report.counters.round_budgets.last().expect("rounds ran");
+    let topped_up = report.counters.theta_final > last_budget;
+    let mut expect = vec!["EstimateTheta"];
+    if topped_up {
+        expect.push("Sample");
+    }
+    expect.push("SelectSeeds");
+    assert_eq!(top, expect, "{label}: top-level spans");
+}
+
+#[test]
+fn driver_engines_emit_the_span_tree_perfbench_reads() {
+    let g = graph();
+    let p = params();
+    assert_driver_spans(&immopt_sequential(&g, &p).report, "immopt");
+    assert_driver_spans(&imm_multithreaded(&g, &p, 2).report, "mt");
+    let world = ThreadWorld::new(2);
+    for r in world.run(|comm| imm_distributed(comm, &g, &p)) {
+        assert_driver_spans(&r.report, "dist");
+    }
+    for r in world.run(|comm| imm_sharded(comm, &g, &p)) {
+        assert_driver_spans(&r.report, "sharded");
+    }
+    let built = build_resident_sketch(&g, &p.with_k_max(8));
+    assert_driver_spans(&built.result.report, "sketch");
 }

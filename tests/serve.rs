@@ -17,7 +17,7 @@
 //!   service that wrote the snapshot *and* to fresh batch runs, without
 //!   re-sampling.
 
-use ripples_core::seq::immopt_sequential_with_storage;
+use ripples_core::seq::immopt_sequential;
 use ripples_core::{ImmParams, SampleEngine, SelectEngine};
 use ripples_diffusion::{DiffusionModel, RrrCollection, RrrStore, RrrStoreKind, StorageConfig};
 use ripples_graph::generators::standin;
@@ -58,12 +58,9 @@ fn assert_serve_matches_batch(graph: &Graph, select: SelectEngine, kind: RrrStor
 
         let mut p = params;
         p.k = k;
-        let batch = immopt_sequential_with_storage(
+        let batch = immopt_sequential(
             graph,
-            &p,
-            select,
-            SampleEngine::Reference,
-            StorageConfig::of(kind),
+            &p.with_select(select).with_storage(StorageConfig::of(kind)),
         );
         assert_eq!(
             served,
@@ -147,12 +144,10 @@ fn fused_sampler_serves_bitwise() {
         let (served, _) = svc.topk(k).unwrap();
         let mut p = params;
         p.k = k;
-        let batch = immopt_sequential_with_storage(
+        let batch = immopt_sequential(
             &graph,
-            &p,
-            SelectEngine::Sequential,
-            SampleEngine::Fused,
-            StorageConfig::default(),
+            &p.with_select(SelectEngine::Sequential)
+                .with_sample(SampleEngine::Fused),
         );
         assert_eq!(served, batch.seeds, "fused-sampler divergence at k={k}");
     }
@@ -284,12 +279,10 @@ fn snapshot_restore_serves_bitwise_identically() {
 
             let mut p = params;
             p.k = k;
-            let batch = immopt_sequential_with_storage(
+            let batch = immopt_sequential(
                 &graph,
-                &p,
-                SelectEngine::Sequential,
-                SampleEngine::Reference,
-                StorageConfig::of(kind),
+                &p.with_select(SelectEngine::Sequential)
+                    .with_storage(StorageConfig::of(kind)),
             );
             assert_eq!(
                 b,
